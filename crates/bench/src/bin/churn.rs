@@ -19,42 +19,30 @@
 //!   without the diurnal forecast (DESIGN §16.3), measuring whether
 //!   pre-growth ahead of the predicted wave saves response time.
 //!
-//! Usage:
-//!   churn [--smoke] [--seed S] [--wave H] [--out PATH] [--check BASELINE]
-//!         [--threads N] [--verify-threads]
+//! Usage: `churn [--smoke] [--seed S] [--wave H] [--out PATH]
+//! [--check BASELINE] [--threads N] [--verify-threads]` (see
+//! [`hog_bench::report::Args`]).
 //!
-//! * `--smoke`          run only the 2×2 truncated-workload grid at the
-//!   base seed (CI gate); the full sweep repeats the grid at
+//! * `--smoke` runs only the 2×2 truncated-workload grid at the base
+//!   seed (CI gate); the full sweep repeats the grid at
 //!   [`VERDICT_SEEDS`] consecutive seeds and holds the win bar against
-//!   the pooled result
-//! * `--seed S`         base cluster seed (default 7; each grid seed `s`
-//!   uses schedule seed 1000+s)
-//! * `--wave H`         start the calibrated cells at hour `H` of the
-//!   campus day (default [`WAVE_START_HOUR`]; tuning knob for studying
-//!   other workload/wave phase alignments)
-//! * `--out PATH`       where to write the JSON report (default BENCH_churn.json)
-//! * `--check BASELINE` compare each shared cell's outcome fingerprint
-//!   against a previously written report (BENCH_churn.baseline.json in
-//!   CI) and exit non-zero on any mismatch — the sweep is deterministic,
-//!   so a changed fingerprint means the simulated outcome changed
+//!   the pooled result. Each grid seed `s` uses schedule seed 1000+s.
+//! * `--wave H` starts the calibrated cells at hour `H` of the campus
+//!   day (default [`WAVE_START_HOUR`]; tuning knob for studying other
+//!   workload/wave phase alignments).
+//! * `--check` fails if any shared cell's outcome fingerprint changed.
 //!
-//! * `--threads N`      run sweep cells N-wide (default: available cores;
-//!   every cell is an independent deterministic simulation, so the report
-//!   is the same at any width — only wall clocks move)
-//! * `--verify-threads` rerun the sweep at `--threads 1` and assert the
-//!   two reports are byte-identical modulo wall-clock fields
-//!
-//! The JSON is hand-rolled (no serde in the workspace); the schema
-//! mirrors BENCH_sched.json plus the rescue counters. Keep it in sync
-//! with EXPERIMENTS.md X16.
+//! The schema mirrors BENCH_sched.json plus the rescue counters. Keep it
+//! in sync with EXPERIMENTS.md X16.
 
+use hog_bench::report::{Args, Cell, Check, Report};
+use hog_bench::{timed, STUDY_HORIZON};
 use hog_core::driver::{run_workload, RunResult};
+use hog_core::sweep::par_map;
 use hog_core::{ClusterConfig, SchedPolicy};
 use hog_grid::{DiurnalForecast, ElasticConfig};
 use hog_sim_core::SimDuration;
 use hog_workload::{StragglerMix, SubmissionSchedule};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Pool size of the truncated-workload grid.
 const NODES: usize = 300;
@@ -89,6 +77,22 @@ const ELASTIC_MAX: usize = 300;
 /// least this fraction of mean job response vs placement-only handling.
 const PREDICTIVE_WIN: f64 = 0.10;
 
+/// `--check` matches cells by policy, churn model, workload and seed.
+const CHECK: Check = Check {
+    sections: &["cells", "extended"],
+    key: &["policy", "churn", "workload", "seed"],
+    wall_gate: false,
+};
+
+/// A cell of the full sweep's extended section.
+#[derive(Clone, Copy)]
+enum Extended {
+    /// The day-long trace under one failure-handling policy.
+    Day(SchedPolicy),
+    /// The elastic controller, without or with the diurnal forecast.
+    Elastic { forecast: bool },
+}
+
 struct CellReport {
     policy: SchedPolicy,
     churn: &'static str,
@@ -118,6 +122,26 @@ impl CellReport {
         } else {
             self.rescue_hits as f64 / judged as f64
         }
+    }
+
+    fn cell(&self) -> Cell {
+        Cell::new()
+            .str("policy", self.policy.as_str())
+            .str("churn", self.churn)
+            .str("workload", self.workload)
+            .raw("seed", self.seed)
+            .raw("wall_ms", self.wall_ms)
+            .float("response_secs", self.response_secs, 3)
+            .float("mean_job_secs", self.mean_job_secs, 3)
+            .raw("jobs_ok", self.jobs_ok)
+            .raw("jobs", self.jobs)
+            .raw("speculative", self.speculative)
+            .raw("failures", self.failures)
+            .raw("rescue_copies", self.rescue_copies)
+            .raw("rescue_hits", self.rescue_hits)
+            .raw("rescue_misses", self.rescue_misses)
+            .float("rescue_hit_rate", self.hit_rate(), 4)
+            .str("fingerprint", &self.fingerprint)
     }
 }
 
@@ -183,16 +207,8 @@ fn run_cell(policy: SchedPolicy, churn: &'static str, wave: f64, seed: u64) -> C
         seed,
         format!("churn-{}-{}", churn, policy.as_str()),
     );
-    let wall = Instant::now();
-    let r = run_workload(cfg, &schedule, SimDuration::from_secs(100 * 3600));
-    cell_from(
-        policy,
-        churn,
-        "truncated",
-        seed,
-        wall.elapsed().as_millis() as u64,
-        &r,
-    )
+    let (r, wall_ms) = timed(|| run_workload(cfg, &schedule, STUDY_HORIZON));
+    cell_from(policy, churn, "truncated", seed, wall_ms, &r)
 }
 
 /// Day-long diurnal trace under calibrated churn: the ≈1000-job SWIM
@@ -205,16 +221,9 @@ fn run_day(policy: SchedPolicy, seed: u64, schedule: &SubmissionSchedule) -> Cel
         seed,
         format!("churn-day-{}", policy.as_str()),
     );
-    let wall = Instant::now();
-    let r = run_workload(cfg, schedule, SimDuration::from_secs(60 * 3600));
-    cell_from(
-        policy,
-        "calibrated",
-        "day",
-        seed,
-        wall.elapsed().as_millis() as u64,
-        &r,
-    )
+    let horizon = SimDuration::from_secs(60 * 3600);
+    let (r, wall_ms) = timed(|| run_workload(cfg, schedule, horizon));
+    cell_from(policy, "calibrated", "day", seed, wall_ms, &r)
 }
 
 /// Elastic controller under calibrated churn, with or without the
@@ -238,58 +247,21 @@ fn run_forecast(forecast: bool, wave: f64, seed: u64, schedule: &SubmissionSched
         format!("churn-elastic-{churn}"),
     )
     .with_elastic_config(ecfg);
-    let wall = Instant::now();
-    let r = run_workload(cfg, schedule, SimDuration::from_secs(100 * 3600));
+    let (r, wall_ms) = timed(|| run_workload(cfg, schedule, STUDY_HORIZON));
     let mut c = cell_from(
         SchedPolicy::Predictive,
         "calibrated",
         "truncated",
         seed,
-        wall.elapsed().as_millis() as u64,
+        wall_ms,
         &r,
     );
-    c.workload = if forecast { "elastic+forecast" } else { "elastic" };
+    c.workload = if forecast {
+        "elastic+forecast"
+    } else {
+        "elastic"
+    };
     c
-}
-
-fn cell_json(c: &CellReport) -> String {
-    format!(
-        "{{\"policy\": \"{}\", \"churn\": \"{}\", \"workload\": \"{}\", \"seed\": {}, \"wall_ms\": {}, \"response_secs\": {:.3}, \"mean_job_secs\": {:.3}, \"jobs_ok\": {}, \"jobs\": {}, \"speculative\": {}, \"failures\": {}, \"rescue_copies\": {}, \"rescue_hits\": {}, \"rescue_misses\": {}, \"rescue_hit_rate\": {:.4}, \"fingerprint\": \"{}\"}}",
-        c.policy.as_str(),
-        c.churn,
-        c.workload,
-        c.seed,
-        c.wall_ms,
-        c.response_secs,
-        c.mean_job_secs,
-        c.jobs_ok,
-        c.jobs,
-        c.speculative,
-        c.failures,
-        c.rescue_copies,
-        c.rescue_hits,
-        c.rescue_misses,
-        c.hit_rate(),
-        c.fingerprint
-    )
-}
-
-fn to_json(seed: u64, cells: &[CellReport], extra: &[CellReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"churn\",");
-    let _ = writeln!(s, "  \"workload\": \"facebook_truncated\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    for (key, group) in [("cells", cells), ("extended", extra)] {
-        let _ = writeln!(s, "  \"{key}\": [");
-        for (i, c) in group.iter().enumerate() {
-            let _ = write!(s, "    {}", cell_json(c));
-            s.push_str(if i + 1 < group.len() { ",\n" } else { "\n" });
-        }
-        s.push_str(if key == "cells" { "  ],\n" } else { "  ]\n" });
-    }
-    s.push_str("}\n");
-    s
 }
 
 fn print_cell(c: &CellReport) {
@@ -375,175 +347,64 @@ fn verdict(cells: &[CellReport], extra: &[CellReport]) -> bool {
     ok
 }
 
-/// Extract `(policy, churn, workload, seed, fingerprint)` rows from a
-/// report written by [`to_json`] (schema-coupled on purpose; no JSON dep).
-fn parse_baseline(text: &str) -> Vec<(String, String, String, u64, String)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"policy\":") {
-            continue;
-        }
-        let str_field = |key: &str| -> Option<String> {
-            let pat = format!("\"{key}\": \"");
-            let start = line.find(&pat)? + pat.len();
-            let rest = &line[start..];
-            rest.find('"').map(|end| rest[..end].to_string())
-        };
-        let seed = line
-            .find("\"seed\": ")
-            .map(|i| &line[i + "\"seed\": ".len()..])
-            .and_then(|rest| {
-                let end = rest.find([',', '}'])?;
-                rest[..end].trim().parse::<u64>().ok()
-            });
-        if let (Some(p), Some(c), Some(w), Some(seed), Some(fp)) = (
-            str_field("policy"),
-            str_field("churn"),
-            str_field("workload"),
-            seed,
-            str_field("fingerprint"),
-        ) {
-            out.push((p, c, w, seed, fp));
-        }
-    }
-    out
-}
-
-/// Compare every cell present in the baseline by fingerprint; returns
-/// whether any mismatched. Cells absent from the baseline (e.g. the
-/// extra verdict seeds when smoke-checking against a full baseline) are
-/// skipped.
-fn check_cells(cells: &[CellReport], baseline: &[(String, String, String, u64, String)]) -> bool {
-    let mut failed = false;
-    for c in cells {
-        let Some((_, _, _, _, fp)) = baseline.iter().find(|(p, ch, w, s, _)| {
-            *p == c.policy.as_str() && *ch == c.churn && *w == c.workload && *s == c.seed
-        }) else {
-            continue;
-        };
-        if *fp != c.fingerprint {
-            failed = true;
-            println!(
-                "  check {} {} {} s{}: fingerprint {} != baseline {} — OUTCOME CHANGED",
-                c.policy.as_str(),
-                c.churn,
-                c.workload,
-                c.seed,
-                c.fingerprint,
-                fp
-            );
-        } else {
-            println!(
-                "  check {} {} {} s{}: fingerprint matches baseline",
-                c.policy.as_str(),
-                c.churn,
-                c.workload,
-                c.seed
-            );
-        }
-    }
-    failed
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = hog_bench::arg_usize(&args, "--seed", 7) as u64;
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_churn.json".to_string());
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let wave = args
-        .iter()
-        .position(|a| a == "--wave")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(WAVE_START_HOUR);
-
+    let args = Args::parse("churn");
+    let (seed, smoke) = (args.seed, args.smoke);
+    let wave = args.value("--wave").unwrap_or(WAVE_START_HOUR);
     let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
-    println!(
-        "churn: {} jobs / {} maps / {} reduces, seed {seed}",
-        schedule.len(),
-        schedule.total_maps(),
-        schedule.total_reduces()
-    );
+    println!("churn: {}, seed {seed}", hog_bench::describe(&schedule));
     let day = (!smoke).then(|| SubmissionSchedule::facebook_day(1000 + seed));
 
-    let threads = hog_bench::arg_threads(&args);
-    let verify_threads = args.iter().any(|a| a == "--verify-threads");
-    let sweep = |threads: usize| {
-        let schedule = &schedule;
-        let day = day.as_ref();
-        // Smoke runs the 2×2 grid at the base seed; the full sweep runs
-        // it at every verdict seed so the study bar is judged on pooled
-        // responses rather than one draw.
-        let grid_seeds = if smoke { 1 } else { VERDICT_SEEDS };
-        let mut jobs: Vec<Box<dyn FnOnce() -> CellReport + Send>> = Vec::new();
-        for s in seed..seed + grid_seeds {
-            for &churn in &["exponential", "calibrated"] {
-                for &policy in &[SchedPolicy::FailureAware, SchedPolicy::Predictive] {
-                    jobs.push(Box::new(move || run_cell(policy, churn, wave, s)));
-                }
+    // Smoke runs the 2×2 grid at the base seed; the full sweep runs it
+    // at every verdict seed so the study bar is judged on pooled
+    // responses rather than one draw.
+    let grid_seeds = if smoke { 1 } else { VERDICT_SEEDS };
+    let mut grid = Vec::new();
+    for s in seed..seed + grid_seeds {
+        for churn in ["exponential", "calibrated"] {
+            for policy in [SchedPolicy::FailureAware, SchedPolicy::Predictive] {
+                grid.push((policy, churn, s));
             }
         }
-        let cells = hog_bench::run_cells(jobs, threads);
-        let mut extra_jobs: Vec<Box<dyn FnOnce() -> CellReport + Send>> = Vec::new();
-        if let Some(day) = day {
-            for &policy in &[SchedPolicy::FailureAware, SchedPolicy::Predictive] {
-                extra_jobs.push(Box::new(move || run_day(policy, seed, day)));
-            }
-            for forecast in [false, true] {
-                extra_jobs.push(Box::new(move || run_forecast(forecast, wave, seed, schedule)));
-            }
-        }
-        let extra = hog_bench::run_cells(extra_jobs, threads);
+    }
+    let extended: &[Extended] = if smoke {
+        &[]
+    } else {
+        &[
+            Extended::Day(SchedPolicy::FailureAware),
+            Extended::Day(SchedPolicy::Predictive),
+            Extended::Elastic { forecast: false },
+            Extended::Elastic { forecast: true },
+        ]
+    };
+    let sweep = |threads| {
+        let cells = par_map(&grid, threads, |&(policy, churn, s)| {
+            run_cell(policy, churn, wave, s)
+        });
+        let extra = par_map(extended, threads, |&cell| match cell {
+            Extended::Day(policy) => run_day(policy, seed, day.as_ref().expect("day schedule")),
+            Extended::Elastic { forecast } => run_forecast(forecast, wave, seed, &schedule),
+        });
         (cells, extra)
     };
+    let report = |(cells, extra): &(Vec<CellReport>, Vec<CellReport>)| {
+        Report::new("churn", seed)
+            .section("cells", cells.iter().map(CellReport::cell))
+            .section("extended", extra.iter().map(CellReport::cell))
+    };
 
-    let (cells, extra) = sweep(threads);
-    for c in &cells {
+    let run = sweep(args.threads);
+    for c in &run.0 {
         print_cell(c);
     }
-    if !extra.is_empty() {
+    if !run.1.is_empty() {
         println!("  -- day-long diurnal trace + forecast comparison --");
-        for c in &extra {
+        for c in &run.1 {
             print_cell(c);
         }
     }
-    let ok = verdict(&cells, &extra);
-
-    let json = to_json(seed, &cells, &extra);
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    if verify_threads {
-        let (c1, e1) = sweep(1);
-        hog_bench::assert_threads_identical("churn", &json, &to_json(seed, &c1, &e1));
-    }
-
-    if let Some(base) = check_path {
-        let text = std::fs::read_to_string(&base)
-            .unwrap_or_else(|e| panic!("cannot read baseline {base}: {e}"));
-        let baseline = parse_baseline(&text);
-        assert!(
-            !baseline.is_empty(),
-            "baseline {base} has no fingerprinted cells"
-        );
-        let mut failed = check_cells(&cells, &baseline);
-        failed |= check_cells(&extra, &baseline);
-        if failed {
-            eprintln!("churn: outcome fingerprints diverged from {base}");
-            std::process::exit(1);
-        }
-    }
+    let ok = verdict(&run.0, &run.1);
+    args.finish(&report(&run), &CHECK, || report(&sweep(1)));
 
     if !ok {
         eprintln!("churn: study bar missed (see verdict above)");

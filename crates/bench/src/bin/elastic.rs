@@ -14,45 +14,31 @@
 //! churn the bursts inflict, and its failure-aware shrink should avoid
 //! handing nodes back at the blasted sites.
 //!
-//! Usage:
-//!   elastic [--smoke] [--seed S] [--out PATH] [--check BASELINE]
-//!           [--threads N] [--verify-threads]
-//!
-//! * `--smoke`    run only the static-100 and elastic tiers (CI gate)
-//! * `--seed S`   cluster seed (default 7; schedule seed is 1000+S)
-//! * `--out PATH` where to write the JSON report (default BENCH_elastic.json)
-//! * `--check BASELINE` compare wall-clock and outcome fingerprints per
-//!   shared label against a previous report; exit non-zero on a >25%
-//!   (+noise floor) wall regression or any fingerprint change
-//!
-//! * `--threads N`      run sweep cells N-wide (default: available cores;
-//!   every cell is an independent deterministic simulation, so the report
-//!   is the same at any width — only wall clocks move)
-//! * `--verify-threads` rerun the sweep at `--threads 1` and assert the
-//!   two reports are byte-identical modulo wall-clock fields
-//!
-//! The JSON is hand-rolled (no serde in the workspace); schema mirrors
-//! BENCH_scale.json. Keep it in sync with EXPERIMENTS.md X12.
+//! Usage: `elastic [--smoke] [--seed S] [--out PATH] [--check BASELINE]
+//! [--threads N] [--verify-threads]` (see [`hog_bench::report::Args`]).
+//! `--smoke` runs only the static-100 and elastic tiers (CI gate).
+//! `--check` fails on any changed outcome fingerprint or a wall-clock
+//! regression past the shared gate (+25% + 250 ms), per shared label.
+//! Keep the schema in sync with EXPERIMENTS.md X12.
 
-use hog_chaos::{Fault, FaultPlan};
+use hog_bench::report::{Args, Cell, Check, Report};
+use hog_bench::{burst_plan, timed, BURST_SITES, STUDY_HORIZON};
 use hog_core::driver::{run_workload, RunResult};
+use hog_core::sweep::par_map;
 use hog_core::ClusterConfig;
-use hog_sim_core::SimDuration;
 use hog_workload::SubmissionSchedule;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Static pool sizes compared against the controller.
 const STATIC_TIERS: [usize; 3] = [40, 100, 300];
 /// Controller bounds for the elastic runs.
 const ELASTIC_MIN: usize = 40;
 const ELASTIC_MAX: usize = 300;
-/// Sites hammered by the burst ablation (same pair as the sched bench).
-const BURST_SITES: [&str; 2] = ["UCSDT2", "AGLT2"];
-/// Wall-clock regression gate for `--check` (fraction of baseline).
-const REGRESSION_FRAC: f64 = 0.25;
-/// Absolute slack below which a regression is considered timer noise.
-const NOISE_FLOOR_MS: u64 = 250;
+/// `--check` matches tiers by label and gates their wall-clock.
+const CHECK: Check = Check {
+    sections: &["tiers", "ablation"],
+    key: &["label"],
+    wall_gate: true,
+};
 
 struct TierReport {
     label: String,
@@ -116,24 +102,17 @@ fn report(label: String, initial: usize, elastic: bool, wall_ms: u64, r: &RunRes
 
 fn run_static(nodes: usize, seed: u64, schedule: &SubmissionSchedule) -> TierReport {
     let cfg = ClusterConfig::hog(nodes, seed).named(format!("static-{nodes}"));
-    let wall = Instant::now();
-    let r = run_workload(cfg, schedule, SimDuration::from_secs(100 * 3600));
+    let (r, wall_ms) = timed(|| run_workload(cfg, schedule, STUDY_HORIZON));
     assert!(!r.stopped_early, "static-{nodes} did not finish");
-    report(
-        format!("static-{nodes}"),
-        nodes,
-        false,
-        wall.elapsed().as_millis() as u64,
-        &r,
-    )
+    report(format!("static-{nodes}"), nodes, false, wall_ms, &r)
 }
 
 fn run_elastic(seed: u64, schedule: &SubmissionSchedule) -> TierReport {
+    let label = format!("elastic-{ELASTIC_MIN}-{ELASTIC_MAX}");
     let cfg = ClusterConfig::hog(ELASTIC_MIN, seed)
         .with_elastic(ELASTIC_MIN, ELASTIC_MAX)
-        .named(format!("elastic-{ELASTIC_MIN}-{ELASTIC_MAX}"));
-    let wall = Instant::now();
-    let r = run_workload(cfg, schedule, SimDuration::from_secs(100 * 3600));
+        .named(label.clone());
+    let (r, wall_ms) = timed(|| run_workload(cfg, schedule, STUDY_HORIZON));
     assert!(!r.stopped_early, "elastic run did not finish");
     if std::env::var_os("HOG_ELASTIC_TIMELINE").is_some() {
         let t0 = r.workload_start.unwrap_or(hog_sim_core::SimTime::ZERO);
@@ -145,29 +124,7 @@ fn run_elastic(seed: u64, schedule: &SubmissionSchedule) -> TierReport {
             );
         }
     }
-    report(
-        format!("elastic-{ELASTIC_MIN}-{ELASTIC_MAX}"),
-        ELASTIC_MIN,
-        true,
-        wall.elapsed().as_millis() as u64,
-        &r,
-    )
-}
-
-/// The X11 plan: a 45-victim burst every 5 minutes for ~90 minutes,
-/// alternating between the two target sites.
-fn burst_plan() -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    for k in 0..18u64 {
-        plan = plan.at(
-            SimDuration::from_secs(300 + k * 300),
-            Fault::PreemptBurst {
-                site: BURST_SITES[(k % 2) as usize].to_string(),
-                count: 45,
-            },
-        );
-    }
-    plan
+    report(label, ELASTIC_MIN, true, wall_ms, &r)
 }
 
 fn run_burst(elastic: bool, seed: u64, schedule: &SubmissionSchedule) -> TierReport {
@@ -182,53 +139,28 @@ fn run_burst(elastic: bool, seed: u64, schedule: &SubmissionSchedule) -> TierRep
     if elastic {
         cfg = cfg.with_elastic(ELASTIC_MIN, ELASTIC_MAX);
     }
-    let wall = Instant::now();
-    let r = run_workload(cfg, schedule, SimDuration::from_secs(100 * 3600));
+    let (r, wall_ms) = timed(|| run_workload(cfg, schedule, STUDY_HORIZON));
     assert!(!r.stopped_early, "{label} did not finish");
     let initial = if elastic { ELASTIC_MIN } else { 300 };
-    report(
-        label,
-        initial,
-        elastic,
-        wall.elapsed().as_millis() as u64,
-        &r,
-    )
+    report(label, initial, elastic, wall_ms, &r)
 }
 
-fn tier_json(t: &TierReport) -> String {
-    format!(
-        "{{\"label\": \"{}\", \"elastic\": {}, \"wall_ms\": {}, \"response_secs\": {:.3}, \"mean_job_secs\": {:.3}, \"jobs_ok\": {}, \"jobs\": {}, \"node_hours\": {:.1}, \"grows\": {}, \"shrinks\": {}, \"peak_target\": {}, \"fingerprint\": \"{}\"}}",
-        t.label,
-        t.elastic,
-        t.wall_ms,
-        t.response_secs,
-        t.mean_job_secs,
-        t.jobs_ok,
-        t.jobs,
-        t.node_hours,
-        t.grows,
-        t.shrinks,
-        t.peak_target,
-        t.fingerprint
-    )
-}
-
-fn to_json(seed: u64, tiers: &[TierReport], ablation: &[TierReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"elastic\",");
-    let _ = writeln!(s, "  \"workload\": \"facebook_truncated\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    for (key, group) in [("tiers", tiers), ("ablation", ablation)] {
-        let _ = writeln!(s, "  \"{key}\": [");
-        for (i, t) in group.iter().enumerate() {
-            let _ = write!(s, "    {}", tier_json(t));
-            s.push_str(if i + 1 < group.len() { ",\n" } else { "\n" });
-        }
-        s.push_str(if key == "tiers" { "  ],\n" } else { "  ]\n" });
+impl TierReport {
+    fn cell(&self) -> Cell {
+        Cell::new()
+            .str("label", &self.label)
+            .raw("elastic", self.elastic)
+            .raw("wall_ms", self.wall_ms)
+            .float("response_secs", self.response_secs, 3)
+            .float("mean_job_secs", self.mean_job_secs, 3)
+            .raw("jobs_ok", self.jobs_ok)
+            .raw("jobs", self.jobs)
+            .float("node_hours", self.node_hours, 1)
+            .raw("grows", self.grows)
+            .raw("shrinks", self.shrinks)
+            .raw("peak_target", self.peak_target)
+            .str("fingerprint", &self.fingerprint)
     }
-    s.push_str("}\n");
-    s
 }
 
 fn print_tier(t: &TierReport) {
@@ -276,152 +208,48 @@ fn verdict(tiers: &[TierReport]) -> bool {
     ok
 }
 
-/// Extract `(label, wall_ms, fingerprint)` triples from a report written
-/// by [`to_json`] (schema-coupled on purpose; no JSON dep).
-fn parse_baseline(text: &str) -> Vec<(String, u64, Option<String>)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"label\":") {
-            continue;
-        }
-        let label = line.find("\"label\": \"").and_then(|i| {
-            let rest = &line[i + "\"label\": \"".len()..];
-            rest.find('"').map(|end| rest[..end].to_string())
-        });
-        let wall = line.find("\"wall_ms\": ").and_then(|i| {
-            let rest = &line[i + "\"wall_ms\": ".len()..];
-            let end = rest
-                .find(|ch: char| !ch.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse::<u64>().ok()
-        });
-        let fp = line.find("\"fingerprint\": \"").and_then(|i| {
-            let rest = &line[i + "\"fingerprint\": \"".len()..];
-            rest.find('"').map(|end| rest[..end].to_string())
-        });
-        if let (Some(l), Some(w)) = (label, wall) {
-            out.push((l, w, fp));
-        }
-    }
-    out
-}
-
-/// `--check`: every tier of this run that shares a label with the
-/// baseline must stay within the wall-clock gate and keep its outcome
-/// fingerprint. Returns false on regression.
-fn check_against(baseline_path: &str, tiers: &[TierReport]) -> bool {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-    let baseline = parse_baseline(&text);
-    assert!(
-        !baseline.is_empty(),
-        "baseline {baseline_path} has no tiers"
-    );
-    let mut ok = true;
-    for t in tiers {
-        let Some((_, base_ms, base_fp)) = baseline.iter().find(|(l, _, _)| *l == t.label) else {
-            continue;
-        };
-        let limit = base_ms + (*base_ms as f64 * REGRESSION_FRAC) as u64 + NOISE_FLOOR_MS;
-        let verdict = if t.wall_ms > limit {
-            ok = false;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "  check {:>22}: {}ms vs baseline {}ms (limit {}ms) — {}",
-            t.label, t.wall_ms, base_ms, limit, verdict
-        );
-        if let Some(fp) = base_fp {
-            if fp != &t.fingerprint {
-                ok = false;
-                println!(
-                    "  check {:>22}: fingerprint {} != baseline {} — OUTCOME CHANGED",
-                    t.label, t.fingerprint, fp
-                );
-            }
-        }
-    }
-    ok
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = hog_bench::arg_usize(&args, "--seed", 7) as u64;
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_elastic.json".to_string());
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
+    let args = Args::parse("elastic");
+    let (seed, smoke) = (args.seed, args.smoke);
     let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
-    println!(
-        "elastic: {} jobs / {} maps / {} reduces, seed {seed}",
-        schedule.len(),
-        schedule.total_maps(),
-        schedule.total_reduces()
-    );
+    println!("elastic: {}, seed {seed}", hog_bench::describe(&schedule));
 
-    let threads = hog_bench::arg_threads(&args);
-    let verify_threads = args.iter().any(|a| a == "--verify-threads");
-    let sweep = |threads: usize| {
-        let schedule = &schedule;
-        let mut jobs: Vec<Box<dyn FnOnce() -> TierReport + Send>> = Vec::new();
-        for &n in &STATIC_TIERS {
-            if smoke && n != 100 {
-                continue;
-            }
-            jobs.push(Box::new(move || run_static(n, seed, schedule)));
-        }
-        jobs.push(Box::new(move || run_elastic(seed, schedule)));
-        let tiers = hog_bench::run_cells(jobs, threads);
-        let mut ablation_jobs: Vec<Box<dyn FnOnce() -> TierReport + Send>> = Vec::new();
-        if !smoke {
-            for elastic in [false, true] {
-                ablation_jobs.push(Box::new(move || run_burst(elastic, seed, schedule)));
-            }
-        }
-        let ablation = hog_bench::run_cells(ablation_jobs, threads);
+    // `None` is the elastic run; `Some(n)` a static pool of n.
+    let mut grid: Vec<Option<usize>> = STATIC_TIERS
+        .iter()
+        .filter(|&&n| !smoke || n == 100)
+        .map(|&n| Some(n))
+        .collect();
+    grid.push(None);
+    let bursts: &[bool] = if smoke { &[] } else { &[false, true] };
+    let sweep = |threads| {
+        let tiers = par_map(&grid, threads, |&tier| match tier {
+            Some(n) => run_static(n, seed, &schedule),
+            None => run_elastic(seed, &schedule),
+        });
+        let ablation = par_map(bursts, threads, |&elastic| {
+            run_burst(elastic, seed, &schedule)
+        });
         (tiers, ablation)
     };
+    let report = |(tiers, ablation): &(Vec<TierReport>, Vec<TierReport>)| {
+        Report::new("elastic", seed)
+            .section("tiers", tiers.iter().map(TierReport::cell))
+            .section("ablation", ablation.iter().map(TierReport::cell))
+    };
 
-    let (tiers, ablation) = sweep(threads);
-    for t in &tiers {
+    let run = sweep(args.threads);
+    for t in &run.0 {
         print_tier(t);
     }
-    let ok = verdict(&tiers);
-    if !ablation.is_empty() {
+    let ok = verdict(&run.0);
+    if !run.1.is_empty() {
         println!("  -- X11 preemption bursts on {BURST_SITES:?} --");
-        for t in &ablation {
+        for t in &run.1 {
             print_tier(t);
         }
     }
-
-    let json = to_json(seed, &tiers, &ablation);
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    if verify_threads {
-        let (t1, a1) = sweep(1);
-        hog_bench::assert_threads_identical("elastic", &json, &to_json(seed, &t1, &a1));
-    }
-
-    if let Some(base) = check_path {
-        let all: Vec<TierReport> = tiers.into_iter().chain(ablation).collect();
-        if !check_against(&base, &all) {
-            eprintln!("elastic: wall-clock regression beyond {REGRESSION_FRAC:.0}% + {NOISE_FLOOR_MS}ms noise floor, or outcome changed");
-            std::process::exit(1);
-        }
-    }
+    args.finish(&report(&run), &CHECK, || report(&sweep(1)));
 
     // The smoke tier only compares against static-100, which elastic
     // legitimately beats on node-hours but not necessarily on response;

@@ -14,7 +14,7 @@ use std::time::Instant;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let threads = hog_bench::arg_usize(&args, "--threads", num_threads());
+    let threads = hog_bench::arg_threads(&args);
     let runs = hog_bench::arg_usize(&args, "--runs", 3);
     let sizes: Vec<usize> = if quick {
         vec![40, 60, 100, 180, 500]
@@ -83,10 +83,4 @@ fn main() {
     std::fs::write(dir.join("fig4.csv"), csv.to_csv()).expect("write fig4.csv");
     std::fs::write(dir.join("fig4.txt"), &rendered).expect("write fig4.txt");
     eprintln!("(written to {}/fig4.{{csv,txt}})", dir.display());
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().saturating_sub(1).max(1))
-        .unwrap_or(4)
 }

@@ -13,33 +13,27 @@
 //! traffic does the adaptive policy save, and what does it cost in mean
 //! job response?
 //!
-//! Usage:
-//!   replication [--smoke] [--seed S] [--wave H] [--out PATH]
-//!               [--check BASELINE] [--threads N] [--verify-threads]
+//! Usage: `replication [--smoke] [--seed S] [--wave H] [--out PATH]
+//! [--check BASELINE] [--threads N] [--verify-threads]` (see
+//! [`hog_bench::report::Args`]).
 //!
-//! * `--smoke`          run the 3-policy grid at the base seed only (CI
-//!   gate); the full sweep repeats it at [`VERDICT_SEEDS`] consecutive
-//!   seeds and holds the study bar against the pooled result
-//! * `--seed S`         base cluster seed (default 7; each grid seed `s`
-//!   uses schedule seed 1000+s)
-//! * `--wave H`         start the calibrated campus day at hour `H`
-//!   (default [`WAVE_START_HOUR`], as in BENCH_churn)
-//! * `--out PATH`       JSON report path (default BENCH_replication.json)
-//! * `--check BASELINE` compare each cell's outcome fingerprint against a
-//!   previous report and exit non-zero on any mismatch
-//! * `--threads N`      sweep width (default: available cores)
-//! * `--verify-threads` rerun at width 1 and assert identical reports
+//! * `--smoke` runs the 3-policy grid at the base seed only (CI gate);
+//!   the full sweep repeats it at [`VERDICT_SEEDS`] consecutive seeds
+//!   and holds the study bar against the pooled result. Each grid seed
+//!   `s` uses schedule seed 1000+s.
+//! * `--wave H` starts the calibrated campus day at hour `H` (default
+//!   [`WAVE_START_HOUR`], as in BENCH_churn).
+//! * `--check` fails if any cell's outcome fingerprint changed.
 //!
-//! The JSON is hand-rolled (no serde in the workspace). Keep the schema
-//! in sync with EXPERIMENTS.md X17.
+//! Keep the schema in sync with EXPERIMENTS.md X17.
 
+use hog_bench::report::{Args, Cell, Check, Report};
+use hog_bench::STUDY_HORIZON;
 use hog_core::driver::{run_workload, RunResult};
+use hog_core::sweep::par_map;
 use hog_core::ClusterConfig;
 use hog_hdfs::AvailabilityPolicy;
-use hog_sim_core::SimDuration;
 use hog_workload::{StragglerMix, SubmissionSchedule};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Pool size of the grid (matches BENCH_churn).
 const NODES: usize = 300;
@@ -61,6 +55,13 @@ const RESPONSE_SLACK: f64 = 1.05;
 const STORAGE_BAR: f64 = 0.85;
 
 const GIB: f64 = (1u64 << 30) as f64;
+
+/// `--check` matches cells by policy and seed.
+const CHECK: Check = Check {
+    sections: &["cells"],
+    key: &["policy", "seed"],
+    wall_gate: false,
+};
 
 struct CellReport {
     policy: &'static str,
@@ -120,44 +121,28 @@ fn run_cell(policy: &'static str, wave: f64, seed: u64) -> CellReport {
         "kcopies" => cfg.with_task_copies(2, true),
         other => panic!("unknown policy label {other}"),
     };
-    let wall = Instant::now();
-    let r = run_workload(cfg, &schedule, SimDuration::from_secs(100 * 3600));
-    cell_from(policy, seed, wall.elapsed().as_millis() as u64, &r)
+    let (r, wall_ms) = hog_bench::timed(|| run_workload(cfg, &schedule, STUDY_HORIZON));
+    cell_from(policy, seed, wall_ms, &r)
 }
 
-fn cell_json(c: &CellReport) -> String {
-    format!(
-        "{{\"policy\": \"{}\", \"seed\": {}, \"wall_ms\": {}, \"response_secs\": {:.3}, \"mean_job_secs\": {:.3}, \"jobs_ok\": {}, \"jobs\": {}, \"replica_gb\": {:.3}, \"repair_gb\": {:.3}, \"node_hours\": {:.1}, \"targets_raised\": {}, \"targets_lowered\": {}, \"replicas_trimmed\": {}, \"fingerprint\": \"{}\"}}",
-        c.policy,
-        c.seed,
-        c.wall_ms,
-        c.response_secs,
-        c.mean_job_secs,
-        c.jobs_ok,
-        c.jobs,
-        c.replica_gb,
-        c.repair_gb,
-        c.node_hours,
-        c.targets_raised,
-        c.targets_lowered,
-        c.replicas_trimmed,
-        c.fingerprint
-    )
-}
-
-fn to_json(seed: u64, cells: &[CellReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"replication\",");
-    let _ = writeln!(s, "  \"workload\": \"facebook_truncated\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(s, "    {}", cell_json(c));
-        s.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
+impl CellReport {
+    fn cell(&self) -> Cell {
+        Cell::new()
+            .str("policy", self.policy)
+            .raw("seed", self.seed)
+            .raw("wall_ms", self.wall_ms)
+            .float("response_secs", self.response_secs, 3)
+            .float("mean_job_secs", self.mean_job_secs, 3)
+            .raw("jobs_ok", self.jobs_ok)
+            .raw("jobs", self.jobs)
+            .float("replica_gb", self.replica_gb, 3)
+            .float("repair_gb", self.repair_gb, 3)
+            .float("node_hours", self.node_hours, 1)
+            .raw("targets_raised", self.targets_raised)
+            .raw("targets_lowered", self.targets_lowered)
+            .raw("replicas_trimmed", self.replicas_trimmed)
+            .str("fingerprint", &self.fingerprint)
     }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 fn print_cell(c: &CellReport) {
@@ -248,130 +233,31 @@ fn verdict(cells: &[CellReport]) -> bool {
     ok
 }
 
-/// Extract `(policy, seed, fingerprint)` rows from a report written by
-/// [`to_json`] (schema-coupled on purpose; no JSON dep).
-fn parse_baseline(text: &str) -> Vec<(String, u64, String)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"policy\":") {
-            continue;
-        }
-        let str_field = |key: &str| -> Option<String> {
-            let pat = format!("\"{key}\": \"");
-            let start = line.find(&pat)? + pat.len();
-            let rest = &line[start..];
-            rest.find('"').map(|end| rest[..end].to_string())
-        };
-        let seed = line
-            .find("\"seed\": ")
-            .map(|i| &line[i + "\"seed\": ".len()..])
-            .and_then(|rest| {
-                let end = rest.find([',', '}'])?;
-                rest[..end].trim().parse::<u64>().ok()
-            });
-        if let (Some(p), Some(seed), Some(fp)) =
-            (str_field("policy"), seed, str_field("fingerprint"))
-        {
-            out.push((p, seed, fp));
-        }
-    }
-    out
-}
-
-fn check_cells(cells: &[CellReport], baseline: &[(String, u64, String)]) -> bool {
-    let mut failed = false;
-    for c in cells {
-        let Some((_, _, fp)) = baseline
-            .iter()
-            .find(|(p, s, _)| *p == c.policy && *s == c.seed)
-        else {
-            continue;
-        };
-        if *fp != c.fingerprint {
-            failed = true;
-            println!(
-                "  check {} s{}: fingerprint {} != baseline {} — OUTCOME CHANGED",
-                c.policy, c.seed, c.fingerprint, fp
-            );
-        } else {
-            println!("  check {} s{}: fingerprint matches baseline", c.policy, c.seed);
-        }
-    }
-    failed
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = hog_bench::arg_usize(&args, "--seed", 7) as u64;
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_replication.json".to_string());
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let wave = args
-        .iter()
-        .position(|a| a == "--wave")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(WAVE_START_HOUR);
-
+    let args = Args::parse("replication");
+    let seed = args.seed;
+    let wave = args.value("--wave").unwrap_or(WAVE_START_HOUR);
     let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
     println!(
-        "replication: {} jobs / {} maps / {} reduces, seed {seed}",
-        schedule.len(),
-        schedule.total_maps(),
-        schedule.total_reduces()
+        "replication: {}, seed {seed}",
+        hog_bench::describe(&schedule)
     );
 
-    let threads = hog_bench::arg_threads(&args);
-    let verify_threads = args.iter().any(|a| a == "--verify-threads");
-    let sweep = |threads: usize| {
-        let grid_seeds = if smoke { 1 } else { VERDICT_SEEDS };
-        let mut jobs: Vec<Box<dyn FnOnce() -> CellReport + Send>> = Vec::new();
-        for s in seed..seed + grid_seeds {
-            for &policy in &["flat10", "adaptive", "kcopies"] {
-                jobs.push(Box::new(move || run_cell(policy, wave, s)));
-            }
-        }
-        hog_bench::run_cells(jobs, threads)
+    let grid_seeds = if args.smoke { 1 } else { VERDICT_SEEDS };
+    let grid: Vec<(&'static str, u64)> = (seed..seed + grid_seeds)
+        .flat_map(|s| ["flat10", "adaptive", "kcopies"].map(|policy| (policy, s)))
+        .collect();
+    let sweep = |threads| par_map(&grid, threads, |&(policy, s)| run_cell(policy, wave, s));
+    let report = |cells: &[CellReport]| {
+        Report::new("replication", seed).section("cells", cells.iter().map(CellReport::cell))
     };
 
-    let cells = sweep(threads);
+    let cells = sweep(args.threads);
     for c in &cells {
         print_cell(c);
     }
     let ok = verdict(&cells);
-
-    let json = to_json(seed, &cells);
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    if verify_threads {
-        let c1 = sweep(1);
-        hog_bench::assert_threads_identical("replication", &json, &to_json(seed, &c1));
-    }
-
-    if let Some(base) = check_path {
-        let text = std::fs::read_to_string(&base)
-            .unwrap_or_else(|e| panic!("cannot read baseline {base}: {e}"));
-        let baseline = parse_baseline(&text);
-        assert!(
-            !baseline.is_empty(),
-            "baseline {base} has no fingerprinted cells"
-        );
-        if check_cells(&cells, &baseline) {
-            eprintln!("replication: outcome fingerprints diverged from {base}");
-            std::process::exit(1);
-        }
-    }
+    args.finish(&report(&cells), &CHECK, || report(&sweep(1)));
 
     if !ok {
         eprintln!("replication: study bar missed (see verdict above)");

@@ -7,14 +7,67 @@
 //! * `fig5` — node-fluctuation traces + Table IV areas.
 //! * `ablations` — experiments X1–X7 from DESIGN.md.
 //! * `probe` — quick calibration probe (single runs).
+//! * `scale`, `sched`, `elastic`, `failover`, `federation`, `churn`,
+//!   `replication` — the tracked studies, which share one report format,
+//!   baseline checker and command line ([`report`]).
 //!
 //! Criterion microbenches live in `benches/`.
 
 #![warn(missing_docs)]
 
+pub mod report;
+
+use hog_chaos::{Fault, FaultPlan};
 use hog_core::driver::RunResult;
+use hog_fed::FedResult;
+use hog_sim_core::SimDuration;
+use hog_workload::SubmissionSchedule;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::time::Instant;
+
+/// Simulated horizon of every truncated-workload study cell: long enough
+/// that only a broken configuration stops early.
+pub const STUDY_HORIZON: SimDuration = SimDuration::from_secs(100 * 3600);
+
+/// Sites hammered by the X11 preemption-burst plan (sched and elastic
+/// studies). Concentrating every burst on the same two sites is what
+/// gives a history-keeping scheduler something to learn.
+pub const BURST_SITES: [&str; 2] = ["UCSDT2", "AGLT2"];
+
+/// X11: one 45-victim burst every 5 minutes for the first ~90 minutes,
+/// alternating between the two [`BURST_SITES`], so each site is hit
+/// every 10 minutes — within a half-life (600 s) of the previous hit,
+/// which is what lets the failure-aware policy's reliability score stay
+/// above threshold between bursts.
+pub fn burst_plan() -> FaultPlan {
+    (0..18u64).fold(FaultPlan::new(), |plan, k| {
+        plan.at(
+            SimDuration::from_secs(300 + k * 300),
+            Fault::PreemptBurst {
+                site: BURST_SITES[(k % 2) as usize].to_string(),
+                count: 45,
+            },
+        )
+    })
+}
+
+/// Run `f`, returning its result and the host wall-clock it took in ms.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let wall = Instant::now();
+    let out = f();
+    (out, wall.elapsed().as_millis() as u64)
+}
+
+/// `"88 jobs / 2410 maps / 504 reduces"`: the size of a study's workload.
+pub fn describe(schedule: &SubmissionSchedule) -> String {
+    format!(
+        "{} jobs / {} maps / {} reduces",
+        schedule.len(),
+        schedule.total_maps(),
+        schedule.total_reduces()
+    )
+}
 
 /// Resolve the output directory for benchmark artifacts (CSV files),
 /// creating it if needed. Defaults to `target/paper-results`, overridable
@@ -33,9 +86,8 @@ pub fn results_dir() -> PathBuf {
 /// excluding the engine event count, which legitimately shrinks when the
 /// mediator dedups redundant NetTick arms without changing any outcome.
 ///
-/// Shared by the scale, sched and elastic benchmarks; the canonical
-/// string (and therefore every committed baseline fingerprint) must never
-/// change.
+/// Shared by every study bin; the canonical string (and therefore every
+/// committed baseline fingerprint) must never change.
 pub fn outcome_fingerprint(r: &RunResult) -> String {
     let mut canon = String::new();
     let _ = write!(
@@ -66,6 +118,24 @@ pub fn outcome_fingerprint(r: &RunResult) -> String {
         r.nn_counters.2,
         r.nn_counters.3
     );
+    fnv1a_hex(&canon)
+}
+
+/// Federation-level outcome fingerprint: FNV-1a over every pool's
+/// canonical [`outcome_fingerprint`] plus the routing vector and WAN byte
+/// total — any change in any pool's simulated outcome, in where a job
+/// ran, or in cross-pool traffic moves it.
+pub fn federation_fingerprint(r: &FedResult) -> String {
+    let mut canon = String::new();
+    for p in &r.pools {
+        let _ = write!(canon, "{};", outcome_fingerprint(p));
+    }
+    let _ = write!(canon, "routed={:?};wan={}", r.routed_to, r.wan_bytes);
+    fnv1a_hex(&canon)
+}
+
+/// 64-bit FNV-1a of `canon`, as 16 hex digits.
+fn fnv1a_hex(canon: &str) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in canon.bytes() {
         h ^= b as u64;
@@ -93,84 +163,6 @@ pub fn default_threads() -> usize {
 /// The `--threads N` argument, defaulting to [`default_threads`].
 pub fn arg_threads(args: &[String]) -> usize {
     arg_usize(args, "--threads", default_threads()).max(1)
-}
-
-/// Run independent bench cells `threads`-wide, preserving input order
-/// (results land by submission index regardless of completion order).
-/// Every cell is a deterministic simulation, so the report is identical
-/// at any thread count — `--verify-threads` in the sweep bins asserts
-/// exactly that against a 1-thread rerun.
-pub fn run_cells<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let threads = threads.max(1);
-    let n = jobs.len();
-    if threads == 1 || n <= 1 {
-        return jobs.into_iter().map(|f| f()).collect();
-    }
-    let results: parking_lot::Mutex<Vec<Option<T>>> =
-        parking_lot::Mutex::new((0..n).map(|_| None).collect());
-    let work: parking_lot::Mutex<std::vec::IntoIter<(usize, F)>> = parking_lot::Mutex::new(
-        jobs.into_iter()
-            .enumerate()
-            .collect::<Vec<_>>()
-            .into_iter(),
-    );
-    crossbeam::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|_| loop {
-                let item = { work.lock().next() };
-                let Some((idx, job)) = item else { break };
-                let r = job();
-                results.lock()[idx] = Some(r);
-            });
-        }
-    })
-    .expect("bench cell worker panicked");
-    results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("missing bench cell result"))
-        .collect()
-}
-
-/// Strip host-dependent measurements from a report: `"wall_ms": 123` →
-/// `"wall_ms": 0` (likewise the derived `events_per_sec`). Everything
-/// else in the bench JSON is simulation outcome, which is deterministic —
-/// so two reports of the same sweep must be byte-identical after this,
-/// whatever `--threads`.
-pub fn zero_wall(json: &str) -> String {
-    let mut out = json.to_string();
-    for key in ["\"wall_ms\": ", "\"events_per_sec\": "] {
-        let mut next = String::with_capacity(out.len());
-        let mut rest = out.as_str();
-        while let Some(i) = rest.find(key) {
-            let start = i + key.len();
-            next.push_str(&rest[..start]);
-            next.push('0');
-            let tail = &rest[start..];
-            let digits = tail
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(tail.len());
-            rest = &tail[digits..];
-        }
-        next.push_str(rest);
-        out = next;
-    }
-    out
-}
-
-/// `--verify-threads` support: assert the report produced at `--threads
-/// N` is byte-identical (modulo wall clocks, via [`zero_wall`]) to the
-/// 1-thread rerun's.
-pub fn assert_threads_identical(bench: &str, parallel_json: &str, serial_json: &str) {
-    assert!(
-        zero_wall(parallel_json) == zero_wall(serial_json),
-        "{bench}: parallel report differs from --threads 1 rerun"
-    );
-    println!("{bench}: --verify-threads ok (report identical to --threads 1)");
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 
 use crate::config::{ClusterConfig, PlacementKind, ResourceConfig};
 use crate::driver::{run_workload, RunResult};
-use crate::sweep::{run_sweep_schedules, SchedulePoint};
+use crate::sweep::par_map;
 use hog_grid::SiteConfig;
 use hog_sim_core::{SimDuration, SimTime};
 use hog_workload::facebook::Bin;
@@ -52,28 +52,22 @@ pub fn run_hod_workload(
     threads: usize,
 ) -> HodResult {
     // One single-job schedule per job of the workload.
-    let points: Vec<SchedulePoint> = schedule
-        .jobs()
-        .iter()
-        .map(|spec| {
-            let bin = Bin {
-                number: spec.bin,
-                maps_at_facebook: (spec.maps, spec.maps),
-                fraction_at_facebook: 0.0,
-                maps: spec.maps,
-                jobs_in_benchmark: 1,
-                reduces: spec.reduces,
-            };
-            SchedulePoint {
-                cfg: ClusterConfig::hog(nodes_per_cluster, seed + spec.id as u64)
-                    .with_mean_lifetime(mean_lifetime)
-                    .named(format!("hod-job-{}", spec.id)),
-                schedule: SubmissionSchedule::from_bins(&[bin], seed + spec.id as u64),
-            }
-        })
-        .collect();
     let horizon = SimDuration::from_secs(60 * 3600);
-    let results = run_sweep_schedules(points, horizon, threads);
+    let results = par_map(schedule.jobs(), threads, |spec| {
+        let bin = Bin {
+            number: spec.bin,
+            maps_at_facebook: (spec.maps, spec.maps),
+            fraction_at_facebook: 0.0,
+            maps: spec.maps,
+            jobs_in_benchmark: 1,
+            reduces: spec.reduces,
+        };
+        let cfg = ClusterConfig::hog(nodes_per_cluster, seed + spec.id as u64)
+            .with_mean_lifetime(mean_lifetime)
+            .named(format!("hod-job-{}", spec.id));
+        let single = SubmissionSchedule::from_bins(&[bin], seed + spec.id as u64);
+        run_workload(cfg, &single, horizon)
+    });
 
     let mut per_job_total = Vec::new();
     let mut overheads = Vec::new();

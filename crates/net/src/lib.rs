@@ -11,26 +11,20 @@
 //! * [`fluid`] — an event-driven **max-min fair fluid-flow** network
 //!   ([`FluidNet`]): every active transfer gets a rate from progressive
 //!   filling over node NICs and site uplinks; rates are recomputed whenever
-//!   the flow set changes.
-//! * [`static_net`] — a cheap fixed-rate-per-class model ([`StaticNet`])
-//!   used in unit tests and as a modelling-fidelity ablation.
-//!
-//! Both models implement the [`Network`] trait consumed by the HDFS and
-//! MapReduce substrates.
+//!   the flow set changes. It implements the [`Network`] trait consumed by
+//!   the HDFS and MapReduce substrates.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod fluid;
 pub mod params;
-pub mod static_net;
 pub mod topology;
 pub mod wan;
 
 pub use fluid::FluidNet;
 pub use params::NetParams;
 pub use wan::{WanDone, WanTier, WanTransferId};
-pub use static_net::StaticNet;
 pub use topology::{site_domain_of, NodeId, RackId, SiteId, Topology, RACK_SIZE};
 
 use hog_sim_core::{SimDuration, SimTime};

@@ -83,13 +83,11 @@ fn workload_seed_changes_submission_pattern() {
 
 #[test]
 fn parallel_sweep_equals_serial_runs() {
-    use hog_core::sweep::{run_sweep_schedules, SchedulePoint};
+    use hog_core::sweep::par_map;
     let horizon = SimDuration::from_secs(24 * 3600);
-    let mk = |seed| SchedulePoint {
-        cfg: ClusterConfig::hog(15, seed),
-        schedule: schedule(33),
-    };
-    let parallel = run_sweep_schedules(vec![mk(1), mk(2)], horizon, 2);
+    let parallel = par_map([1, 2], 2, |seed| {
+        run_workload(ClusterConfig::hog(15, seed), &schedule(33), horizon)
+    });
     let serial = run_workload(ClusterConfig::hog(15, 1), &schedule(33), horizon);
     assert_eq!(
         parallel[0].response_time.map(|d| d.as_millis()),

@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hog_core::driver::run_workload;
 use hog_core::ClusterConfig;
 use hog_hdfs::placement::{Candidate, PlacementPolicy, SiteAwarePolicy};
-use hog_net::{FluidNet, NetParams, Network, NodeId, SiteId};
+use hog_net::{FluidNet, NetParams, NodeId, SiteId};
 use hog_sim_core::{EventQueue, SimDuration, SimRng, SimTime};
 use hog_workload::facebook::Bin;
 use hog_workload::SubmissionSchedule;

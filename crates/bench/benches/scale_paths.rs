@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hog_hdfs::placement::SiteAwarePolicy;
 use hog_hdfs::{BlockId, HdfsConfig, Namenode};
 use hog_mapreduce::{Assignment, JobSubmission, JobTracker, MrParams};
-use hog_net::{FluidNet, NetParams, Network, NodeId, SiteId, Topology};
+use hog_net::{FluidNet, NetParams, NodeId, SiteId, Topology};
 use hog_sim_core::{SimRng, SimTime};
 use std::hint::black_box;
 

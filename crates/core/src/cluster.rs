@@ -17,7 +17,7 @@
 
 use crate::config::{ClusterConfig, PlacementKind, ResourceConfig};
 use crate::event::{DoomReason, Event};
-use crate::master::{MasterStack, SingleMasterStack};
+use crate::master::MasterStack;
 use hog_chaos::{Auditor, ChaosFailure, Fault, ProgressSig, Watchdog};
 use hog_grid::{ElasticController, ElasticDecision, GridModel, GridNote, LossReason, PoolSnapshot};
 use hog_hdfs::datanode::DnLiveness;
@@ -27,7 +27,7 @@ use hog_hdfs::{
 };
 use hog_mapreduce::jobtracker::FailReason;
 use hog_mapreduce::{Assignment, AttemptRef, JobId, JobSubmission, JobTracker, JtNote, ReduceStep};
-use hog_net::{FlowEnd, FlowId, FlowOutcome, FluidNet, Network, NodeId, Topology};
+use hog_net::{FlowEnd, FlowId, FlowOutcome, FluidNet, NodeId, Topology};
 use hog_obs::{
     render_tail, HistogramId, Layer, MetricId, MetricsRegistry, TraceEvent, TraceLog, Tracer,
 };
@@ -37,6 +37,14 @@ use hog_sim_core::units::transfer_secs;
 use hog_sim_core::{SimDuration, SimRng, SimTime, Violation};
 use hog_workload::{JobSpec, SubmissionSchedule};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+
+/// Input blocks staged concurrently during upload.
+const UPLOAD_PARALLEL: usize = 8;
+/// Delay between a task failing on a zombie node and the failure report
+/// reaching the JobTracker (models the doomed attempt's brief lifetime).
+const ZOMBIE_FAIL_DELAY: SimDuration = SimDuration::from_secs(2);
+/// Retry backoff for shuffle fetches aimed at unusable sources.
+const FETCH_RETRY_DELAY: SimDuration = SimDuration::from_secs(15);
 
 /// What an in-flight network transfer means.
 #[derive(Clone, Debug)]
@@ -232,7 +240,7 @@ pub struct Cluster {
     net: FluidNet,
     grid: Option<GridModel>,
     /// The Namenode + JobTracker stack behind its failover lifecycle.
-    masters: SingleMasterStack,
+    masters: MasterStack,
     rng: SimRng,
     master: NodeId,
     /// Nodes whose daemons are running (zombies included).
@@ -265,10 +273,6 @@ pub struct Cluster {
     /// Mediator counters.
     pub counters: ClusterCounters,
     target_nodes: usize,
-    /// Adaptive-replication controller (extension X9), when enabled.
-    adaptive: Option<crate::adaptive::AdaptiveReplication>,
-    /// History of adaptive factor changes: (time, factor).
-    pub adaptive_changes: Vec<(SimTime, u16)>,
     /// Last availability-policy sweep instant (X17), when armed.
     avail_last: Option<SimTime>,
     /// History of availability sweeps that changed any target:
@@ -308,7 +312,7 @@ pub struct Cluster {
     /// it is skipped. Distinct instants must all stay armed — a stale
     /// earlier tick is a real progress point.
     armed_net_ticks: BTreeSet<SimTime>,
-    /// Reusable buffer for `Network::advance_into` (NetTick hot path).
+    /// Reusable buffer for `FluidNet::advance_into` (NetTick hot path).
     flow_end_buf: Vec<FlowEnd>,
     /// Reusable buffer for `JobTracker::heartbeat_into` (Heartbeat hot
     /// path): one allocation serves every heartbeat of the run.
@@ -381,7 +385,6 @@ impl Cluster {
             ResourceConfig::Fixed { .. } => None,
         });
         let n_jobs = schedule.len();
-        let cfg2 = cfg.adaptive_replication;
         let chaos_seed = cfg.seed ^ 0x686f_675f_6368_616f; // b"hog_chao"
         let straggler_seed = cfg.seed ^ 0x686f_675f_7374_7261; // b"hog_stra"
         let straggler_on = cfg.straggler.is_some();
@@ -393,7 +396,7 @@ impl Cluster {
             topo,
             net,
             grid: None,
-            masters: SingleMasterStack::new(nn, jt, failover_cfg),
+            masters: MasterStack::new(nn, jt, failover_cfg),
             rng,
             master,
             daemons_up: BTreeSet::new(),
@@ -418,8 +421,6 @@ impl Cluster {
             workload_end: None,
             counters: ClusterCounters::default(),
             target_nodes,
-            adaptive: cfg2.map(|(min, max)| crate::adaptive::AdaptiveReplication::new(min, max)),
-            adaptive_changes: Vec::new(),
             avail_last: None,
             avail_actions: Vec::new(),
             elastic,
@@ -712,7 +713,7 @@ impl Cluster {
     }
 
     fn pump_upload(&mut self, sched: &mut Scheduler<'_, Event>) {
-        while self.upload_in_flight < self.cfg.upload_parallel {
+        while self.upload_in_flight < UPLOAD_PARALLEL {
             let Some((file, size)) = self.upload_queue.pop_front() else {
                 break;
             };
@@ -1233,9 +1234,6 @@ impl Cluster {
     }
 
     fn on_node_lost(&mut self, node: NodeId, reason: LossReason, sched: &mut Scheduler<'_, Event>) {
-        if let Some(ad) = &mut self.adaptive {
-            ad.note_loss(sched.now());
-        }
         let zombie_roll = self.cfg.zombie.enabled
             && reason == LossReason::Preempted
             && self.rng.chance(self.cfg.zombie.probability);
@@ -1279,11 +1277,33 @@ impl Cluster {
         self.masters.jt.job(att.task.job).task(att.task).attempts[att.attempt as usize].node
     }
 
-    /// One tasktracker heartbeat: deliver it to the JobTracker (unless
-    /// the worker is partitioned or the master is stalled/down) and
-    /// launch whatever was assigned, then re-arm the timer. The
-    /// assignment buffer is reused across every heartbeat of the run.
+    /// One tasktracker heartbeat outside a batch. The assignment buffer
+    /// is reused across every heartbeat of the run.
     fn on_heartbeat(&mut self, sched: &mut Scheduler<'_, Event>, node: NodeId) {
+        let master_reachable = self.master_reachable(sched.now());
+        let mut assignments = std::mem::take(&mut self.assign_buf);
+        self.deliver_heartbeat(sched, node, master_reachable, &mut assignments);
+        assignments.clear();
+        self.assign_buf = assignments;
+    }
+
+    /// Whether the masters receive anything at `now`: a stalled
+    /// (chaos `MasterStall`) or crashed master receives nothing.
+    fn master_reachable(&self, now: SimTime) -> bool {
+        self.master_stalled_until.is_none_or(|until| now >= until) && !self.masters.is_down()
+    }
+
+    /// Deliver one tasktracker heartbeat to the JobTracker (unless the
+    /// worker is partitioned or the master unreachable), launch whatever
+    /// was assigned, then re-arm the timer. `master_reachable` comes from
+    /// the caller so a batch reads it once per instant.
+    fn deliver_heartbeat(
+        &mut self,
+        sched: &mut Scheduler<'_, Event>,
+        node: NodeId,
+        master_reachable: bool,
+        assignments: &mut Vec<Assignment>,
+    ) {
         if !self.daemons_up.contains(&node) {
             return; // daemon gone: heartbeats stop
         }
@@ -1291,17 +1311,11 @@ impl Cluster {
         // alive, but its heartbeats never reach the JobTracker; a
         // stalled or crashed master receives nothing. Either way
         // the masters' timeout machinery sees silence.
-        let stalled = self
-            .master_stalled_until
-            .is_some_and(|until| sched.now() < until);
-        if !self.partitioned.contains(&node) && !stalled && !self.masters.is_down() {
-            let mut assignments = std::mem::take(&mut self.assign_buf);
+        if master_reachable && !self.partitioned.contains(&node) {
             self.masters
                 .jt
-                .heartbeat_into(sched.now(), node, &self.topo, &mut assignments);
-            self.start_assignments(sched, node, &assignments);
-            assignments.clear();
-            self.assign_buf = assignments;
+                .heartbeat_into(sched.now(), node, &self.topo, assignments);
+            self.start_assignments(sched, node, assignments);
         }
         sched.after(self.cfg.mr.heartbeat_interval, Event::Heartbeat { node });
     }
@@ -1334,7 +1348,7 @@ impl Cluster {
                     );
                     if self.zombies.contains(&node) {
                         sched.after(
-                            self.cfg.zombie_fail_delay,
+                            ZOMBIE_FAIL_DELAY,
                             Event::AttemptDoomed {
                                 attempt,
                                 reason: DoomReason::Zombie,
@@ -1347,7 +1361,7 @@ impl Cluster {
                 Assignment::Reduce { attempt } => {
                     if self.zombies.contains(&node) {
                         sched.after(
-                            self.cfg.zombie_fail_delay,
+                            ZOMBIE_FAIL_DELAY,
                             Event::AttemptDoomed {
                                 attempt,
                                 reason: DoomReason::Zombie,
@@ -1490,7 +1504,7 @@ impl Cluster {
                     } else {
                         self.counters.fetch_timeouts += 1;
                         sched.after(
-                            self.cfg.fetch_retry_delay,
+                            FETCH_RETRY_DELAY,
                             Event::FetchTimeout { attempt, order: id },
                         );
                     }
@@ -1850,8 +1864,7 @@ impl Cluster {
 
     /// A controller-initiated release. Unlike [`Cluster::on_node_lost`]
     /// this is voluntary: the JobTracker is told immediately (no 30 s
-    /// death detector), the adaptive replication monitor does not count
-    /// it as churn, and completed map outputs on the node are not
+    /// death detector) and completed map outputs on the node are not
     /// proactively re-run — the victim filter only hands over trackers
     /// whose outputs no unfinished reduce still needs.
     fn on_node_decommissioned(&mut self, node: NodeId, sched: &mut Scheduler<'_, Event>) {
@@ -1961,10 +1974,7 @@ impl Cluster {
     }
 
     fn on_master_tick(&mut self, sched: &mut Scheduler<'_, Event>) {
-        let stalled = self
-            .master_stalled_until
-            .is_some_and(|until| sched.now() < until)
-            || self.masters.is_down();
+        let stalled = !self.master_reachable(sched.now());
         // Periodic checkpoint: only while the workload runs (the initial
         // checkpoint is taken at upload completion) and only from a
         // healthy master — a stalled master's checkpoint thread is just
@@ -2015,19 +2025,6 @@ impl Cluster {
                 .with("stalled", stalled)
         });
         self.sample_metrics(sched.now());
-        // Adaptive replication (X9): scale durability with instability.
-        if !stalled {
-            if let Some(ad) = &mut self.adaptive {
-                if let Some(factor) = ad.update(sched.now(), self.daemons_up.len().max(1)) {
-                    self.masters.nn.set_default_replication(factor);
-                    let files = self.input_files.clone();
-                    for f in files {
-                        self.masters.nn.set_file_replication(f, factor);
-                    }
-                    self.adaptive_changes.push((sched.now(), factor));
-                }
-            }
-        }
         // Availability policy (X17): per-block targets tracking site
         // risk. Running phase only — the forming/upload pool has no
         // failure history to classify against yet.
@@ -2752,18 +2749,15 @@ impl Model for Cluster {
     /// only mutates JobTracker/worker state — nothing in it stalls,
     /// crashes or revives the master, so reading those predicates once
     /// per instant is decision-identical to re-reading them per event.
-    /// Per-node gates (daemon up, partitioned) stay inside the loop.
+    /// Per-node gates (daemon up, partitioned) stay per heartbeat, in
+    /// the `deliver_heartbeat` body `on_heartbeat` shares.
     fn handle_batch(
         &mut self,
         events: &mut std::collections::VecDeque<Event>,
         sched: &mut Scheduler<'_, Event>,
     ) {
         self.tracer.advance(sched.now());
-        let stalled = self
-            .master_stalled_until
-            .is_some_and(|until| sched.now() < until);
-        let master_reachable = !stalled && !self.masters.is_down();
-        let hb = self.cfg.mr.heartbeat_interval;
+        let master_reachable = self.master_reachable(sched.now());
         let mut assignments = std::mem::take(&mut self.assign_buf);
         while !self.finished() {
             let Some(event) = events.pop_front() else { break };
@@ -2773,16 +2767,7 @@ impl Model for Cluster {
                 self.handle(event, sched);
                 continue;
             };
-            if !self.daemons_up.contains(&node) {
-                continue; // daemon gone: heartbeats stop
-            }
-            if master_reachable && !self.partitioned.contains(&node) {
-                self.masters
-                    .jt
-                    .heartbeat_into(sched.now(), node, &self.topo, &mut assignments);
-                self.start_assignments(sched, node, &assignments);
-            }
-            sched.after(hb, Event::Heartbeat { node });
+            self.deliver_heartbeat(sched, node, master_reachable, &mut assignments);
         }
         assignments.clear();
         self.assign_buf = assignments;

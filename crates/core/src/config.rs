@@ -203,18 +203,6 @@ pub struct ClusterConfig {
     pub zombie: ZombieConfig,
     /// Placement policy.
     pub placement: PlacementKind,
-    /// Input blocks staged concurrently during upload.
-    pub upload_parallel: usize,
-    /// Delay between a task failing on a zombie node and the failure
-    /// report reaching the JobTracker (models the doomed attempt's brief
-    /// lifetime).
-    pub zombie_fail_delay: SimDuration,
-    /// Retry backoff for shuffle fetches aimed at unusable sources.
-    pub fetch_retry_delay: SimDuration,
-    /// Adaptive replication (§VI future work, extension X9): when set to
-    /// `(min, max)`, a controller scales the replication factor with the
-    /// observed node-loss rate instead of pinning it at `hdfs.replication`.
-    pub adaptive_replication: Option<(u16, u16)>,
     /// Fault injection / auditing / watchdog (hog-chaos); inert by
     /// default.
     pub chaos: ChaosOptions,
@@ -281,10 +269,6 @@ impl ClusterConfig {
             formation_grace,
             zombie: ZombieConfig::off(),
             placement: PlacementKind::SiteAware,
-            upload_parallel: 8,
-            zombie_fail_delay: SimDuration::from_secs(2),
-            fetch_retry_delay: SimDuration::from_secs(15),
-            adaptive_replication: None,
             chaos: ChaosOptions::default(),
             obs: ObsOptions::default(),
             elastic: None,
@@ -321,10 +305,6 @@ impl ClusterConfig {
             formation_grace: 0.0,
             zombie: ZombieConfig::off(),
             placement: PlacementKind::RackAware,
-            upload_parallel: 8,
-            zombie_fail_delay: SimDuration::from_secs(2),
-            fetch_retry_delay: SimDuration::from_secs(15),
-            adaptive_replication: None,
             chaos: ChaosOptions::default(),
             obs: ObsOptions::default(),
             elastic: None,
@@ -430,13 +410,6 @@ impl ClusterConfig {
     /// failure-aware placement.
     pub fn with_scheduler(mut self, policy: SchedPolicy) -> Self {
         self.mr = self.mr.with_scheduler(policy);
-        self
-    }
-
-    /// Enable adaptive replication between `min` and `max` (extension X9,
-    /// paper §VI).
-    pub fn with_adaptive_replication(mut self, min: u16, max: u16) -> Self {
-        self.adaptive_replication = Some((min, max));
         self
     }
 
@@ -590,10 +563,10 @@ mod tests {
     fn availability_policy_defaults_off_and_builder_arms_it() {
         let plain = ClusterConfig::hog(100, 1);
         assert!(plain.hdfs.availability.is_none());
-        assert!(!plain.hdfs.repl_fairness);
+        assert!(!plain.hdfs.fair_dispatch());
         let armed = plain.with_availability_policy(hog_hdfs::AvailabilityPolicy::trua_default());
         assert!(armed.hdfs.availability.is_some());
-        assert!(armed.hdfs.repl_fairness, "policy arms fair dispatch too");
+        assert!(armed.hdfs.fair_dispatch(), "policy arms fair dispatch too");
     }
 
     #[test]

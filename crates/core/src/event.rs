@@ -66,7 +66,7 @@ pub enum Event {
         /// Index into the submission schedule.
         index: usize,
     },
-    /// Try to keep `upload_parallel` input blocks in flight.
+    /// Try to keep `UPLOAD_PARALLEL` input blocks in flight.
     PumpUpload,
     /// Elastically resize the glidein pool (paper §IV-C): positive delta
     /// submits more Condor jobs, negative removes workers.

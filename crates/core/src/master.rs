@@ -1,12 +1,10 @@
 //! The master stack: Namenode + JobTracker behind an explicit lifecycle.
 //!
 //! Historically the mediator owned the two master state machines as bare
-//! fields. This module puts them behind [`MasterStack`] — a trait with an
-//! explicit *checkpoint / crash / promote* lifecycle — so the mediator
-//! talks to "the masters" as one unit. [`SingleMasterStack`] is the only
-//! implementation today (one active master, one cold standby restored
-//! from the latest checkpoint); the trait is the stepping stone to
-//! federated namespaces and hot-standby pairs.
+//! fields. This module puts them in one [`MasterStack`] with an explicit
+//! *checkpoint / crash / promote* lifecycle — one active master, one cold
+//! standby restored from the latest checkpoint — so the mediator talks
+//! to "the masters" as one unit.
 //!
 //! # Checkpointing
 //!
@@ -124,46 +122,10 @@ pub struct PromotedMasters {
     pub checkpoint_at: SimTime,
 }
 
-/// The Namenode + JobTracker stack with an explicit lifecycle. See the
-/// module docs for the protocol.
-pub trait MasterStack {
-    /// The armed failover configuration, if any.
-    fn failover(&self) -> Option<FailoverConfig>;
-
-    /// Current lifecycle state.
-    fn status(&self) -> MasterStatus;
-
-    /// Whether the stack is down (crashed, awaiting promotion).
-    fn is_down(&self) -> bool {
-        matches!(self.status(), MasterStatus::Down { .. })
-    }
-
-    /// Whether a periodic checkpoint is due at `now`.
-    fn checkpoint_due(&self, now: SimTime) -> bool;
-
-    /// Take a checkpoint at `now` (deep-clone both masters).
-    fn take_checkpoint(&mut self, now: SimTime);
-
-    /// The active master host dies. Returns `true` if the stack actually
-    /// went down (a promotion must be scheduled); `false` if the fault
-    /// was absorbed — no failover configured (recorded and ignored, the
-    /// paper's single-master deployment), mirror mode (the synchronous
-    /// standby takes over with zero downtime), or already down.
-    fn crash(&mut self, now: SimTime) -> bool;
-
-    /// The standby's detection timeout fired: swap the checkpoint in as
-    /// the live masters. Returns the crashed masters' final state for
-    /// reconciliation, or `None` if the stack was not down (stale
-    /// promotion event — ignore).
-    fn promote(&mut self, now: SimTime) -> Option<PromotedMasters>;
-
-    /// Failover accounting so far.
-    fn stats(&self) -> &FailoverStats;
-}
-
-/// One active master, one standby restored from the latest periodic
-/// checkpoint. The only [`MasterStack`] today.
-pub struct SingleMasterStack {
+/// The Namenode + JobTracker stack: one active master, one standby
+/// restored from the latest periodic checkpoint. See the module docs for
+/// the protocol.
+pub struct MasterStack {
     /// The live namenode. Public: the mediator drives it directly on
     /// every event, exactly as it drove the bare field before.
     pub nn: Namenode,
@@ -176,11 +138,11 @@ pub struct SingleMasterStack {
     checkpoint: Option<MasterCheckpoint>,
 }
 
-impl SingleMasterStack {
+impl MasterStack {
     /// Wrap freshly-built masters. `cfg == None` reproduces the paper's
     /// single-master deployment bit-for-bit.
     pub fn new(nn: Namenode, jt: JobTracker, cfg: Option<FailoverConfig>) -> Self {
-        SingleMasterStack {
+        MasterStack {
             nn,
             jt,
             stats: FailoverStats::default(),
@@ -194,18 +156,24 @@ impl SingleMasterStack {
     pub fn checkpoint(&self) -> Option<&MasterCheckpoint> {
         self.checkpoint.as_ref()
     }
-}
 
-impl MasterStack for SingleMasterStack {
-    fn failover(&self) -> Option<FailoverConfig> {
+    /// The armed failover configuration, if any.
+    pub fn failover(&self) -> Option<FailoverConfig> {
         self.cfg
     }
 
-    fn status(&self) -> MasterStatus {
+    /// Current lifecycle state.
+    pub fn status(&self) -> MasterStatus {
         self.status
     }
 
-    fn checkpoint_due(&self, now: SimTime) -> bool {
+    /// Whether the stack is down (crashed, awaiting promotion).
+    pub fn is_down(&self) -> bool {
+        matches!(self.status, MasterStatus::Down { .. })
+    }
+
+    /// Whether a periodic checkpoint is due at `now`.
+    pub fn checkpoint_due(&self, now: SimTime) -> bool {
         let Some(cfg) = self.cfg else { return false };
         if cfg.is_mirror() || self.is_down() {
             return false;
@@ -216,7 +184,8 @@ impl MasterStack for SingleMasterStack {
         }
     }
 
-    fn take_checkpoint(&mut self, now: SimTime) {
+    /// Take a checkpoint at `now` (deep-clone both masters).
+    pub fn take_checkpoint(&mut self, now: SimTime) {
         self.checkpoint = Some(MasterCheckpoint {
             taken_at: now,
             nn: self.nn.clone(),
@@ -225,7 +194,12 @@ impl MasterStack for SingleMasterStack {
         self.stats.checkpoints.push(now);
     }
 
-    fn crash(&mut self, now: SimTime) -> bool {
+    /// The active master host dies. Returns `true` if the stack actually
+    /// went down (a promotion must be scheduled); `false` if the fault
+    /// was absorbed — no failover configured (recorded and ignored, the
+    /// paper's single-master deployment), mirror mode (the synchronous
+    /// standby takes over with zero downtime), or already down.
+    pub fn crash(&mut self, now: SimTime) -> bool {
         let Some(cfg) = self.cfg else {
             // Single-master deployment: nothing to promote. The fault is
             // recorded by the mediator's trace; state is untouched (the
@@ -247,7 +221,11 @@ impl MasterStack for SingleMasterStack {
         true
     }
 
-    fn promote(&mut self, now: SimTime) -> Option<PromotedMasters> {
+    /// The standby's detection timeout fired: swap the checkpoint in as
+    /// the live masters. Returns the crashed masters' final state for
+    /// reconciliation, or `None` if the stack was not down (stale
+    /// promotion event — ignore).
+    pub fn promote(&mut self, now: SimTime) -> Option<PromotedMasters> {
         let MasterStatus::Down { since } = self.status else {
             return None;
         };
@@ -279,7 +257,8 @@ impl MasterStack for SingleMasterStack {
         })
     }
 
-    fn stats(&self) -> &FailoverStats {
+    /// Failover accounting so far.
+    pub fn stats(&self) -> &FailoverStats {
         &self.stats
     }
 }
@@ -291,14 +270,14 @@ mod tests {
     use hog_mapreduce::MrParams;
     use hog_sim_core::SimRng;
 
-    fn stack(cfg: Option<FailoverConfig>) -> SingleMasterStack {
+    fn stack(cfg: Option<FailoverConfig>) -> MasterStack {
         let nn = Namenode::new(
             HdfsConfig::hog(),
             Box::new(SiteAwarePolicy),
             SimRng::seed_from_u64(7),
         );
         let jt = JobTracker::new(MrParams::hog(), SimRng::seed_from_u64(8));
-        SingleMasterStack::new(nn, jt, cfg)
+        MasterStack::new(nn, jt, cfg)
     }
 
     fn t(secs: u64) -> SimTime {

@@ -2,6 +2,7 @@
 
 use hog_core::driver::{assert_finished, run_workload};
 use hog_core::{ClusterConfig, PlacementKind};
+use hog_hdfs::AvailabilityPolicy;
 use hog_sim_core::SimDuration;
 use hog_workload::facebook::Bin;
 use hog_workload::SubmissionSchedule;
@@ -142,21 +143,33 @@ fn shrink_pool_mid_run_still_finishes() {
 }
 
 #[test]
-fn adaptive_replication_scales_with_churn() {
-    // Heavy churn: the controller should push the factor up from its
-    // floor within the first half hour.
+fn availability_targets_follow_grid_instability() {
+    // Paper §VI: set the replica count from how fast the grid shrinks
+    // and grows. Heavy churn must only raise per-block targets; a quiet
+    // grid must only lower them. Either way the workload completes.
     let schedule = tiny_schedule(6, 4, 2, 51);
-    let cfg = ClusterConfig::hog(25, 61)
-        .with_mean_lifetime(SimDuration::from_secs(900))
-        .with_adaptive_replication(3, 10);
-    let r = run_workload(cfg, &schedule, SimDuration::from_secs(24 * 3600));
-    assert_finished(&r);
-    // The run result doesn't carry the change log, so assert indirectly:
-    // jobs survive churn that replication 3 alone would struggle with,
-    // and at least the run completed with ≥5/6 jobs.
+    let run = |lifetime_secs: u64| {
+        let cfg = ClusterConfig::hog(25, 61)
+            .with_mean_lifetime(SimDuration::from_secs(lifetime_secs))
+            .with_availability_policy(AvailabilityPolicy::trua_default());
+        let r = run_workload(cfg, &schedule, SimDuration::from_secs(24 * 3600));
+        assert_finished(&r);
+        assert_eq!(
+            r.jobs_succeeded(),
+            6,
+            "{lifetime_secs}s lifetime: {:?}",
+            r.stuck_jobs
+        );
+        r.availability
+    };
+    let (raised, lowered, _) = run(900);
     assert!(
-        r.jobs_succeeded() >= 5,
-        "adaptive replication should carry the workload: {}/6",
-        r.jobs_succeeded()
+        raised > 0 && lowered == 0,
+        "churn: raised {raised}, lowered {lowered}"
+    );
+    let (raised, lowered, _) = run(10_000_000);
+    assert!(
+        lowered > 0 && raised == 0,
+        "quiet: raised {raised}, lowered {lowered}"
     );
 }

@@ -19,7 +19,7 @@ use crate::config::{GridParams, SiteConfig};
 use crate::{Deferred, GridEvent, GridNote, RequestId};
 use hog_net::{NodeId, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
-use hog_sim_core::metrics::{Counter, StepSeries};
+use hog_sim_core::metrics::StepSeries;
 use hog_sim_core::units::transfer_secs;
 use hog_sim_core::{SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -95,9 +95,9 @@ pub struct GridModel {
     nodes: BTreeMap<NodeId, RequestId>,
     rng: SimRng,
     running_series: StepSeries,
-    preemptions: Counter,
-    outages: Counter,
-    node_starts: Counter,
+    preemptions: u64,
+    outages: u64,
+    node_starts: u64,
     tracer: Tracer,
 }
 
@@ -151,9 +151,9 @@ impl GridModel {
                 nodes: BTreeMap::new(),
                 rng,
                 running_series: StepSeries::new(),
-                preemptions: Counter::new(),
-                outages: Counter::new(),
-                node_starts: Counter::new(),
+                preemptions: 0,
+                outages: 0,
+                node_starts: 0,
                 tracer: Tracer::disabled(),
             },
             defer,
@@ -272,7 +272,7 @@ impl GridModel {
             GridEvent::DownloadDone { request } => self.on_download_done(now, request, topo),
             GridEvent::Preempt { node } => {
                 if self.nodes.contains_key(&node) {
-                    self.preemptions.incr();
+                    self.preemptions += 1;
                     self.kill_node(now, node, LossReason::Preempted, topo, true)
                 } else {
                     GridOutput::default() // stale: node already gone
@@ -311,7 +311,7 @@ impl GridModel {
                 .with("victims", victims.len())
         });
         for node in victims {
-            self.preemptions.incr();
+            self.preemptions += 1;
             out.merge(self.kill_node(now, node, LossReason::Preempted, topo, true));
         }
         out
@@ -387,7 +387,7 @@ impl GridModel {
         self.requests.insert(request.0, RequestState::Running(node));
         self.in_flight.remove(&request.0);
         self.nodes.insert(node, request);
-        self.node_starts.incr();
+        self.node_starts += 1;
         self.running_series.record(now, self.nodes.len() as f64);
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Grid, "node_start")
@@ -452,7 +452,7 @@ impl GridModel {
         if !self.sites[idx].up {
             return out;
         }
-        self.outages.incr();
+        self.outages += 1;
         self.sites[idx].up = false;
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Grid, "site_outage").with("site", self.site_name(site))
@@ -543,17 +543,17 @@ impl GridModel {
 
     /// Total preemptions so far.
     pub fn preemption_count(&self) -> u64 {
-        self.preemptions.get()
+        self.preemptions
     }
 
     /// Total site outages so far.
     pub fn outage_count(&self) -> u64 {
-        self.outages.get()
+        self.outages
     }
 
     /// Total successful node starts.
     pub fn node_start_count(&self) -> u64 {
-        self.node_starts.get()
+        self.node_starts
     }
 
     /// Used slots at a site (testing hook).

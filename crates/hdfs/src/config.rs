@@ -37,14 +37,12 @@ pub struct HdfsConfig {
     pub disk_check_interval: Option<SimDuration>,
     /// Trua-style per-block replication targets. `None` (the default)
     /// keeps the flat factor and is bit-identical to the pre-policy
-    /// namenode.
+    /// namenode. When armed, the replication monitor also dispatches
+    /// fairly: it rotates its order across ticks so a standing stream
+    /// of critical (1-replica) blocks cannot starve higher buckets when
+    /// the per-tick order budget runs out. Adaptive targets widen the
+    /// bucket spread, which makes that starvation much more likely.
     pub availability: Option<AvailabilityPolicy>,
-    /// Rotate the replication monitor's dispatch order across ticks so
-    /// a standing stream of critical (1-replica) blocks cannot starve
-    /// higher buckets when the per-tick order budget runs out. Off by
-    /// default to preserve the legacy lowest-bucket-first order
-    /// bit-for-bit; armed automatically with the availability policy.
-    pub repl_fairness: bool,
 }
 
 impl HdfsConfig {
@@ -62,7 +60,6 @@ impl HdfsConfig {
             datanode_capacity: 40 * GIB,
             disk_check_interval: Some(SimDuration::from_secs(180)),
             availability: None,
-            repl_fairness: false,
         }
     }
 
@@ -80,7 +77,6 @@ impl HdfsConfig {
             datanode_capacity: 400 * GIB,
             disk_check_interval: None,
             availability: None,
-            repl_fairness: false,
         }
     }
 
@@ -102,20 +98,19 @@ impl HdfsConfig {
         self
     }
 
-    /// Arm the Trua-style per-block availability policy. Also turns on
-    /// fair replication dispatch: adaptive targets widen the bucket
-    /// spread, which makes budget-induced starvation of high buckets
-    /// much more likely.
+    /// Arm the Trua-style per-block availability policy, and with it
+    /// fair replication dispatch.
     pub fn with_availability(mut self, p: AvailabilityPolicy) -> Self {
         self.availability = Some(p);
-        self.repl_fairness = true;
         self
     }
 
-    /// Arm fair (rotating) replication dispatch on its own.
-    pub fn with_repl_fairness(mut self) -> Self {
-        self.repl_fairness = true;
-        self
+    /// Whether the replication monitor rotates its dispatch order across
+    /// ticks (see [`HdfsConfig::availability`]). Derived: fair dispatch
+    /// runs exactly when the availability policy is armed, so the
+    /// legacy lowest-bucket-first order stays bit-for-bit otherwise.
+    pub fn fair_dispatch(&self) -> bool {
+        self.availability.is_some()
     }
 }
 
@@ -150,11 +145,11 @@ mod tests {
     #[test]
     fn availability_defaults_off_and_builder_arms_fairness() {
         assert!(HdfsConfig::hog().availability.is_none());
-        assert!(!HdfsConfig::hog().repl_fairness);
+        assert!(!HdfsConfig::hog().fair_dispatch());
         assert!(HdfsConfig::stock().availability.is_none());
+        assert!(!HdfsConfig::stock().fair_dispatch());
         let c = HdfsConfig::hog().with_availability(AvailabilityPolicy::trua_default());
         assert!(c.availability.is_some());
-        assert!(c.repl_fairness);
-        assert!(HdfsConfig::hog().with_repl_fairness().repl_fairness);
+        assert!(c.fair_dispatch());
     }
 }

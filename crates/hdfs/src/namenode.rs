@@ -24,7 +24,6 @@ use crate::placement::{Candidate, PlacementPolicy};
 use crate::types::{BlockId, BlockMeta, FileId, FileMeta};
 use hog_net::{NodeId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
-use hog_sim_core::metrics::Counter;
 use hog_sim_core::{SimRng, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -234,7 +233,7 @@ pub struct Namenode {
     /// flat runs never lower a target, so this stays empty and the trim
     /// pass is a no-op.
     over_repl: BTreeSet<BlockId>,
-    /// Fair-dispatch resume cursor (`cfg.repl_fairness`): the queue
+    /// Fair-dispatch resume cursor (`cfg.fair_dispatch()`): the queue
     /// position of the first entry the previous budget-exhausted tick
     /// did not serve. `None` after any tick that finished its pass.
     fair_resume: Option<(u32, BlockId)>,
@@ -246,22 +245,22 @@ pub struct Namenode {
     /// when the availability policy is armed; soft state.
     reads: Vec<u32>,
     rng: SimRng,
-    repl_completed: Counter,
-    repl_failed: Counter,
-    blocks_lost: Counter,
-    bad_replica_reports: Counter,
+    repl_completed: u64,
+    repl_failed: u64,
+    blocks_lost: u64,
+    bad_replica_reports: u64,
     // Counters below are outside the outcome fingerprint (which pins
     // exactly the four above) — they can grow without breaking the
     // bit-identity guarantees of existing benchmarks.
-    targets_raised: Counter,
-    targets_lowered: Counter,
-    replicas_trimmed: Counter,
+    targets_raised: u64,
+    targets_lowered: u64,
+    replicas_trimmed: u64,
     /// Replica bytes written into HDFS, ever: pipeline commits,
     /// re-replication completions and balancer copies all count.
-    bytes_written: Counter,
+    bytes_written: u64,
     /// The re-replication (repair) share of `bytes_written`.
-    bytes_rereplicated: Counter,
-    total_reads: Counter,
+    bytes_rereplicated: u64,
+    total_reads: u64,
     tracer: Tracer,
 }
 
@@ -286,16 +285,16 @@ impl Namenode {
             avail_snapshot: None,
             reads: Vec::new(),
             rng,
-            repl_completed: Counter::new(),
-            repl_failed: Counter::new(),
-            blocks_lost: Counter::new(),
-            bad_replica_reports: Counter::new(),
-            targets_raised: Counter::new(),
-            targets_lowered: Counter::new(),
-            replicas_trimmed: Counter::new(),
-            bytes_written: Counter::new(),
-            bytes_rereplicated: Counter::new(),
-            total_reads: Counter::new(),
+            repl_completed: 0,
+            repl_failed: 0,
+            blocks_lost: 0,
+            bad_replica_reports: 0,
+            targets_raised: 0,
+            targets_lowered: 0,
+            replicas_trimmed: 0,
+            bytes_written: 0,
+            bytes_rereplicated: 0,
+            total_reads: 0,
             tracer: Tracer::disabled(),
         }
     }
@@ -315,14 +314,6 @@ impl Namenode {
     /// the MOON anchor site).
     pub fn set_policy(&mut self, policy: Box<dyn PlacementPolicy>) {
         self.policy = policy;
-    }
-
-    /// Change the default replication factor for files created from now
-    /// on (the adaptive-replication extension of paper §VI: scale
-    /// durability with observed grid instability). Existing files keep
-    /// their factor.
-    pub fn set_default_replication(&mut self, r: u16) {
-        self.cfg.replication = r.max(1);
     }
 
     /// Retarget the replication factor of an *existing* file's blocks.
@@ -470,7 +461,7 @@ impl Namenode {
             let meta = &mut self.blocks[b.0 as usize];
             meta.replicas.remove(&node);
             if meta.is_missing() {
-                self.blocks_lost.incr();
+                self.blocks_lost += 1;
             }
             if meta.deficit() > 0 {
                 let count = meta.replicas.len();
@@ -628,7 +619,7 @@ impl Namenode {
                 if dn.liveness != DnLiveness::Dead {
                     dn.add_block(block, size);
                     self.blocks[block.0 as usize].replicas.insert(n);
-                    self.bytes_written.add(size);
+                    self.bytes_written += size;
                 }
             }
         }
@@ -661,7 +652,7 @@ impl Namenode {
         }
         let meta = &self.blocks[block.0 as usize];
         if meta.is_missing() {
-            self.blocks_lost.incr();
+            self.blocks_lost += 1;
         }
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Hdfs, "block_commit")
@@ -744,7 +735,7 @@ impl Namenode {
                 self.reads.resize(idx + 1, 0);
             }
             self.reads[idx] = self.reads[idx].saturating_add(1);
-            self.total_reads.incr();
+            self.total_reads += 1;
         }
         let meta = &self.blocks[block.0 as usize];
         // Only consider replicas on nodes the namenode believes usable.
@@ -776,7 +767,7 @@ impl Namenode {
     /// invalidate it and queue re-replication.
     pub fn report_bad_replica(&mut self, block: BlockId, node: NodeId) {
         self.dn_changed();
-        self.bad_replica_reports.incr();
+        self.bad_replica_reports += 1;
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Hdfs, "bad_replica")
                 .with("block", block.0)
@@ -789,7 +780,7 @@ impl Namenode {
             }
             let meta = &self.blocks[block.0 as usize];
             if meta.is_missing() {
-                self.blocks_lost.incr();
+                self.blocks_lost += 1;
             }
             if meta.deficit() > 0 {
                 let count = meta.replicas.len();
@@ -817,7 +808,7 @@ impl Namenode {
 
     /// Issue replication orders for under-replicated blocks, most-critical
     /// (fewest live replicas) first, bounded by per-node stream limits and
-    /// the per-tick order budget. With `cfg.repl_fairness` the walk
+    /// the per-tick order budget. With `cfg.fair_dispatch()` the walk
     /// resumes where a budget-exhausted tick stopped instead of always
     /// restarting at bucket 0, so a standing trickle of critical blocks
     /// cannot starve higher buckets forever.
@@ -828,7 +819,8 @@ impl Namenode {
         }
         // Priority: fewest replicas first (Hadoop's priority queues).
         // The buckets already hold that order — no per-tick sort.
-        let queue: Vec<BlockId> = if self.cfg.repl_fairness {
+        let fair = self.cfg.fair_dispatch();
+        let queue: Vec<BlockId> = if fair {
             self.needs_repl.iter_rotated(self.fair_resume)
         } else {
             self.needs_repl.iter().collect()
@@ -948,7 +940,7 @@ impl Namenode {
                 });
             }
         }
-        self.fair_resume = if self.cfg.repl_fairness {
+        self.fair_resume = if fair {
             // Anchor the cursor at the first unserved block's *current*
             // bucket; if it got dequeued meanwhile the rotation simply
             // starts at the next position in (bucket, block) order.
@@ -984,7 +976,7 @@ impl Namenode {
             }
         }
         if success {
-            self.repl_completed.incr();
+            self.repl_completed += 1;
             if self.blocks[block.0 as usize].expected == 0 {
                 // The block was deleted (or abandoned) while the transfer
                 // was in flight: the destination discards the copy rather
@@ -997,8 +989,8 @@ impl Namenode {
                 if dn.liveness != DnLiveness::Dead {
                     dn.add_block(block, size);
                     self.blocks[block.0 as usize].replicas.insert(dst);
-                    self.bytes_written.add(size);
-                    self.bytes_rereplicated.add(size);
+                    self.bytes_written += size;
+                    self.bytes_rereplicated += size;
                 }
             }
             let meta = &self.blocks[block.0 as usize];
@@ -1015,7 +1007,7 @@ impl Namenode {
                 self.over_repl.insert(block);
             }
         } else {
-            self.repl_failed.incr();
+            self.repl_failed += 1;
             // Stays (or re-enters) the queue if still deficient.
             let meta = &self.blocks[block.0 as usize];
             if meta.deficit() > 0 {
@@ -1063,9 +1055,9 @@ impl Namenode {
             return;
         }
         if r > meta.expected {
-            self.targets_raised.incr();
+            self.targets_raised += 1;
         } else {
-            self.targets_lowered.incr();
+            self.targets_lowered += 1;
         }
         meta.expected = r;
         self.tracer.emit(|| {
@@ -1090,7 +1082,7 @@ impl Namenode {
         let Some(policy) = self.cfg.availability else {
             return (0, 0);
         };
-        let before = (self.targets_raised.get(), self.targets_lowered.get());
+        let before = (self.targets_raised, self.targets_lowered);
         let mut retargets: Vec<(BlockId, u16)> = Vec::new();
         for (i, meta) in self.blocks.iter().enumerate() {
             if meta.expected == 0 {
@@ -1119,8 +1111,8 @@ impl Namenode {
         }
         self.avail_snapshot = Some(snapshot);
         (
-            self.targets_raised.get() - before.0,
-            self.targets_lowered.get() - before.1,
+            self.targets_raised - before.0,
+            self.targets_lowered - before.1,
         )
     }
 
@@ -1136,7 +1128,7 @@ impl Namenode {
         if let Some(dn) = self.datanodes.get_mut(&node) {
             dn.remove_block(block, size);
         }
-        self.replicas_trimmed.incr();
+        self.replicas_trimmed += 1;
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Hdfs, "replica_trim")
                 .with("block", block.0)
@@ -1200,27 +1192,27 @@ impl Namenode {
     /// off. Outside the outcome fingerprint.
     pub fn availability_counters(&self) -> (u64, u64, u64) {
         (
-            self.targets_raised.get(),
-            self.targets_lowered.get(),
-            self.replicas_trimmed.get(),
+            self.targets_raised,
+            self.targets_lowered,
+            self.replicas_trimmed,
         )
     }
 
     /// Replica bytes ever written into HDFS: pipeline commits,
     /// re-replication completions and balancer copies.
     pub fn bytes_written(&self) -> u64 {
-        self.bytes_written.get()
+        self.bytes_written
     }
 
     /// The repair (re-replication) share of [`Namenode::bytes_written`].
     pub fn bytes_rereplicated(&self) -> u64 {
-        self.bytes_rereplicated.get()
+        self.bytes_rereplicated
     }
 
     /// Reads served since birth (0 unless the availability policy is
     /// armed — the counter is only maintained for its heat signal).
     pub fn read_count(&self) -> u64 {
-        self.total_reads.get()
+        self.total_reads
     }
 
     /// Lifetime read count of one block (0 unless the policy is armed).
@@ -1303,10 +1295,10 @@ impl Namenode {
     /// block-loss events, bad-replica reports.
     pub fn counters(&self) -> (u64, u64, u64, u64) {
         (
-            self.repl_completed.get(),
-            self.repl_failed.get(),
-            self.blocks_lost.get(),
-            self.bad_replica_reports.get(),
+            self.repl_completed,
+            self.repl_failed,
+            self.blocks_lost,
+            self.bad_replica_reports,
         )
     }
 
@@ -1407,7 +1399,7 @@ impl Namenode {
                 dn.add_block(b, size);
                 accepted += 1;
             } else {
-                self.bad_replica_reports.incr();
+                self.bad_replica_reports += 1;
                 orphaned += 1;
             }
         }
@@ -1509,10 +1501,10 @@ impl Namenode {
             s,
             "counters={:?}",
             (
-                self.repl_completed.get(),
-                self.repl_failed.get(),
-                self.blocks_lost.get(),
-                self.bad_replica_reports.get()
+                self.repl_completed,
+                self.repl_failed,
+                self.blocks_lost,
+                self.bad_replica_reports
             )
         );
         s
@@ -1918,12 +1910,14 @@ mod tests {
         // Two deficient blocks, an order budget of 1, and transfers
         // that keep failing: legacy dispatch restarts at bucket 0 every
         // tick and serves the 1-replica block forever; fair dispatch
-        // rotates so the 2-replica block gets its turn.
+        // rotates so the 2-replica block gets its turn. Fair dispatch
+        // comes with the availability policy.
+        use crate::availability::AvailabilityPolicy;
         let serve = |fair: bool| -> Vec<u64> {
             let mut cfg = HdfsConfig::hog().with_replication(3);
             cfg.max_repl_orders_per_tick = 1;
             if fair {
-                cfg = cfg.with_repl_fairness();
+                cfg = cfg.with_availability(AvailabilityPolicy::trua_default());
             }
             let (mut nn, topo, _) = setup(4, cfg);
             let fa = nn.create_file_default("/a");

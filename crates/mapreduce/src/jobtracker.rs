@@ -20,7 +20,6 @@ use hog_hdfs::BlockId;
 use hog_net::{NodeId, RackId, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sched::{Gate, JobSnapshot, Scheduler, SlotKind};
-use hog_sim_core::metrics::Counter;
 use hog_sim_core::{SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -270,7 +269,6 @@ pub struct JobTracker {
     sched: Box<dyn Scheduler>,
     rng: SimRng,
     counters: JtCounters,
-    _spec_counter: Counter,
     tracer: Tracer,
     /// Monotonic epoch, bumped on every scheduling-relevant mutation
     /// (job submitted/retired, a task changed pending↔running). Guards
@@ -328,7 +326,6 @@ impl JobTracker {
             cfg,
             rng,
             counters: JtCounters::default(),
-            _spec_counter: Counter::new(),
             tracer: Tracer::disabled(),
             sched_epoch: 1,
             order_cache: [OrderCache::default(), OrderCache::default()],

@@ -16,7 +16,7 @@
 //!
 //! Propagation latency is deliberately **not** folded into flow completion
 //! times; bulk transfers are bandwidth-dominated and RPC latency is modelled
-//! explicitly by the substrates via [`Network::latency`].
+//! explicitly by the substrates via [`FluidNet::latency`].
 //!
 //! # Scale path (DESIGN.md §10)
 //!
@@ -41,7 +41,7 @@
 
 use crate::params::NetParams;
 use crate::topology::{NodeId, SiteId};
-use crate::{FlowEnd, FlowId, FlowOutcome, Network};
+use crate::{FlowEnd, FlowId, FlowOutcome};
 use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sim_core::{SimDuration, SimTime};
 use std::cmp::Reverse;
@@ -97,6 +97,13 @@ const NO_SITE: u16 = u16::MAX;
 const NO_FLOW: u32 = u32::MAX;
 
 /// The fluid network model. See the module docs for semantics.
+///
+/// Protocol expected by the simulation mediator:
+/// 1. on a network tick, call [`FluidNet::advance`] with the current time
+///    and handle the returned [`FlowEnd`]s;
+/// 2. start/cancel flows as needed;
+/// 3. re-arm one tick at [`FluidNet::next_completion`] (spurious ticks are
+///    harmless — `advance` just returns nothing).
 pub struct FluidNet {
     params: NetParams,
     /// Dense node → site table (`NO_SITE` = unregistered).
@@ -111,7 +118,7 @@ pub struct FluidNet {
     /// Predicted completion instants: `(first ms where remaining dips
     /// below DONE_EPS, flow id, gen)`.
     crossings: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// Projected finish instants as reported by [`Network::next_completion`]
+    /// Projected finish instants as reported by [`FluidNet::next_completion`]
     /// (ceil of remaining/rate — up to one ms *after* the crossing).
     projections: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     finished: Vec<FlowEnd>,
@@ -756,8 +763,9 @@ impl hog_sim_core::Auditable for FluidNet {
     }
 }
 
-impl Network for FluidNet {
-    fn register_node(&mut self, node: NodeId, site: SiteId) {
+impl FluidNet {
+    /// Make `node` (living in `site`) usable as a flow endpoint.
+    pub fn register_node(&mut self, node: NodeId, site: SiteId) {
         let idx = node.0 as usize;
         if self.site_of_node.len() <= idx {
             self.site_of_node.resize(idx + 1, NO_SITE);
@@ -765,7 +773,9 @@ impl Network for FluidNet {
         self.site_of_node[idx] = site.0;
     }
 
-    fn remove_node(&mut self, now: SimTime, node: NodeId) -> Vec<FlowEnd> {
+    /// Remove `node`; every flow touching it is killed and reported in the
+    /// returned vector immediately (not via `advance`).
+    pub fn remove_node(&mut self, now: SimTime, node: NodeId) -> Vec<FlowEnd> {
         self.progress_to(now);
         let mut killed = Vec::new();
         self.scratch_links.clear();
@@ -812,7 +822,8 @@ impl Network for FluidNet {
         killed
     }
 
-    fn latency(&self, src: NodeId, dst: NodeId) -> SimDuration {
+    /// One-way propagation latency between two (registered) nodes.
+    pub fn latency(&self, src: NodeId, dst: NodeId) -> SimDuration {
         if src == dst {
             return SimDuration::ZERO;
         }
@@ -822,7 +833,10 @@ impl Network for FluidNet {
         }
     }
 
-    fn start_flow(
+    /// Begin transferring `bytes` from `src` to `dst`. `tag` is returned in
+    /// the eventual [`FlowEnd`]. Zero-byte flows complete on the next
+    /// `advance`.
+    pub fn start_flow(
         &mut self,
         now: SimTime,
         src: NodeId,
@@ -833,7 +847,13 @@ impl Network for FluidNet {
         self.push_flow(now, src, dst, bytes, tag, false)
     }
 
-    fn start_flow_diffuse(
+    /// Like [`FluidNet::start_flow`], but the source side is *diffuse*:
+    /// the bytes really originate from many nodes of the source's site
+    /// (e.g. a shuffle batch covering every map output at that site), so
+    /// the single representative node's NIC must not be modelled as the
+    /// bottleneck — only the site uplink and the receiver constrain the
+    /// flow.
+    pub fn start_flow_diffuse(
         &mut self,
         now: SimTime,
         src: NodeId,
@@ -844,7 +864,9 @@ impl Network for FluidNet {
         self.push_flow(now, src, dst, bytes, tag, true)
     }
 
-    fn cancel_flow(&mut self, now: SimTime, id: FlowId) {
+    /// Cancel an in-flight flow (no `FlowEnd` is emitted). Unknown ids are
+    /// ignored (the flow may have completed in the same instant).
+    pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) {
         self.progress_to(now);
         let p = match self.flow_pos.get(id.0 as usize) {
             Some(&p) if p != NO_FLOW => p as usize,
@@ -861,19 +883,24 @@ impl Network for FluidNet {
         self.settle_heaps();
     }
 
-    fn advance(&mut self, now: SimTime) -> Vec<FlowEnd> {
+    /// Progress the model to `now`, returning every flow that finished at
+    /// or before `now`.
+    pub fn advance(&mut self, now: SimTime) -> Vec<FlowEnd> {
         let mut out = Vec::new();
         self.advance_into(now, &mut out);
         out
     }
 
-    fn advance_into(&mut self, now: SimTime, out: &mut Vec<FlowEnd>) {
+    /// Like [`FluidNet::advance`], but appends the finished flows to a
+    /// caller-owned buffer so hot loops can reuse its allocation.
+    pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<FlowEnd>) {
         self.progress_to(now);
         self.settle_heaps();
         out.append(&mut self.finished);
     }
 
-    fn next_completion(&self) -> Option<SimTime> {
+    /// The instant the earliest in-flight flow will finish, if any.
+    pub fn next_completion(&self) -> Option<SimTime> {
         if !self.finished.is_empty() {
             return Some(self.last_update);
         }
@@ -882,7 +909,8 @@ impl Network for FluidNet {
         self.projections.peek().map(|&Reverse((t, _, _))| t)
     }
 
-    fn active_flows(&self) -> usize {
+    /// Number of in-flight flows (diagnostics).
+    pub fn active_flows(&self) -> usize {
         self.flows.len()
     }
 }

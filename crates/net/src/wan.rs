@@ -16,7 +16,7 @@
 //! (rates drop to zero) to model an inter-pool partition fault; transfers
 //! resume, not restart, when the partition heals.
 //!
-//! Protocol (mirrors [`crate::Network`]): on a tick call
+//! Protocol (mirrors [`crate::FluidNet`]): on a tick call
 //! [`WanTier::advance`], handle the returned [`WanDone`]s, then re-arm one
 //! tick at [`WanTier::next_completion`]. Spurious ticks are harmless.
 

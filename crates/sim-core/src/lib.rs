@@ -15,8 +15,7 @@
 //! * [`dist`] — inverse-transform samplers (exponential, uniform,
 //!   log-normal, …) so we do not need `rand_distr`.
 //! * [`metrics`] — time-series recording, step-function integration
-//!   (area-beneath-curve as used in the paper's Table IV), histograms and
-//!   summary statistics.
+//!   (area-beneath-curve as used in the paper's Table IV) and histograms.
 //! * [`units`] — byte/bandwidth helper constants.
 //! * [`audit`] — runtime invariant auditing ([`Violation`], [`Auditable`])
 //!   used by the chaos/fault-injection layer.
@@ -40,7 +39,7 @@ pub mod units;
 pub use audit::{Auditable, Violation};
 pub use dist::{Exponential, LogNormal, UniformDuration};
 pub use engine::{Model, Scheduler, Simulation};
-pub use metrics::{Counter, Histogram, StepSeries, Summary, TimeRegression};
+pub use metrics::{Histogram, StepSeries};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

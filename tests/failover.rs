@@ -7,7 +7,7 @@
 //! identity, and a property test that `restore(checkpoint(state))` is
 //! bit-identical for randomized master states.
 
-use hog_repro::core::{FailoverConfig, MasterStack, SingleMasterStack};
+use hog_repro::core::{FailoverConfig, MasterStack};
 use hog_repro::hdfs::{HdfsConfig, Namenode, SiteAwarePolicy};
 use hog_repro::mapreduce::{JobSubmission, JobTracker, MrParams};
 use hog_repro::net::Topology;
@@ -346,7 +346,7 @@ proptest! {
         let fsimage = nn.export_fsimage();
         let ledger = jt.export_ledger();
         let mut stack =
-            SingleMasterStack::new(nn, jt, Some(FailoverConfig::every(secs(60))));
+            MasterStack::new(nn, jt, Some(FailoverConfig::every(secs(60))));
         let t = SimTime::ZERO + secs(100);
         stack.take_checkpoint(t);
         let cp = stack.checkpoint().expect("just taken");

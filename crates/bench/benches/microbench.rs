@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the hot paths of the simulator:
 //!
 //! * event-queue push/pop throughput (every simulated action goes
-//!   through it);
+//!   through it), and the periodic-timer steady state (10k heartbeat-like
+//!   timers) on the heap alone vs on the queue's FIFO lanes;
 //! * fluid-network rate recomputation (runs on every flow-set change);
 //! * placement-policy target selection (every block allocation and
 //!   replication order);
@@ -34,6 +35,52 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(sum)
         })
     });
+}
+
+/// The pool_10k heartbeat shape: 10k timers re-arming every 3 s,
+/// staggered across the period, plus a sparse one-off event every 100
+/// pops. Each sample pops and re-arms 100k events; the heap case re-arms
+/// with `push`, the lane case with `push_every`. Same pop order in both.
+fn bench_periodic_timers(c: &mut Criterion) {
+    const TIMERS: u64 = 10_000;
+    const POPS: usize = 100_000;
+    let period = SimDuration::from_secs(3);
+    let setup = || {
+        let mut q = EventQueue::with_capacity(TIMERS as usize);
+        for i in 0..TIMERS {
+            q.push(SimTime::from_millis(i.wrapping_mul(5741) % 3000 + 1), i);
+        }
+        (q, SimRng::seed_from_u64(2))
+    };
+    let mut group = c.benchmark_group("periodic_timers_10k");
+    for (name, lanes) in [("heap", false), ("lane", true)] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                setup,
+                |(mut q, mut rng)| {
+                    let mut sum = 0u64;
+                    for k in 0..POPS {
+                        let (now, ev) = q.pop().expect("timers never drain");
+                        sum = sum.wrapping_add(ev);
+                        if ev < TIMERS {
+                            if lanes {
+                                q.push_every(now, period, ev);
+                            } else {
+                                q.push(now + period, ev);
+                            }
+                        }
+                        if k % 100 == 0 {
+                            let d = SimDuration::from_millis(rng.uniform_u64(0, 60_000));
+                            q.push(now + d, TIMERS + k as u64);
+                        }
+                    }
+                    black_box(sum)
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    group.finish();
 }
 
 fn bench_fluid_recompute(c: &mut Criterion) {
@@ -166,6 +213,7 @@ fn bench_end_to_end(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_queue,
+    bench_periodic_timers,
     bench_fluid_recompute,
     bench_placement,
     bench_namenode_tick,

@@ -30,7 +30,12 @@ fn main() {
     let fig = figure4(&sizes, runs, threads);
     eprintln!("fig4: swept in {:.0}s wall", wall.elapsed().as_secs_f64());
 
-    let mut t = TextTable::new(&["Nodes in HOG", "Runs (s)", "Mean response (s)", "vs cluster"]);
+    let mut t = TextTable::new(&[
+        "Nodes in HOG",
+        "Runs (s)",
+        "Mean response (s)",
+        "vs cluster",
+    ]);
     let base = fig.cluster_mean();
     for p in &fig.hog {
         let runs_s = p

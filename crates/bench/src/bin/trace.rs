@@ -13,7 +13,7 @@
 
 use hog_core::driver::{run_workload, RunResult};
 use hog_core::ClusterConfig;
-use hog_obs::{to_csv, to_jsonl, render_diff, diff_registries, Layer, TraceMode};
+use hog_obs::{diff_registries, render_diff, to_csv, to_jsonl, Layer, TraceMode};
 use hog_sim_core::SimDuration;
 use hog_workload::SubmissionSchedule;
 use std::collections::BTreeMap;
@@ -46,7 +46,9 @@ fn cmd_run(args: &[String]) {
     let mut by_kind: BTreeMap<String, u64> = BTreeMap::new();
     for ev in &log.events {
         *by_layer.entry(ev.layer.as_str()).or_insert(0) += 1;
-        *by_kind.entry(format!("{}/{}", ev.layer, ev.kind)).or_insert(0) += 1;
+        *by_kind
+            .entry(format!("{}/{}", ev.layer, ev.kind))
+            .or_insert(0) += 1;
     }
     for l in Layer::ALL {
         if let Some(n) = by_layer.get(l.as_str()) {
@@ -61,9 +63,15 @@ fn cmd_run(args: &[String]) {
 
     let dir = hog_bench::results_dir();
     let (path, body) = if csv {
-        (dir.join(format!("trace-{nodes}-{seed}.csv")), to_csv(&log.events))
+        (
+            dir.join(format!("trace-{nodes}-{seed}.csv")),
+            to_csv(&log.events),
+        )
     } else {
-        (dir.join(format!("trace-{nodes}-{seed}.jsonl")), to_jsonl(&log.events))
+        (
+            dir.join(format!("trace-{nodes}-{seed}.jsonl")),
+            to_jsonl(&log.events),
+        )
     };
     std::fs::write(&path, body).expect("write trace export");
     println!("exported {} events to {}", log.events.len(), path.display());

@@ -27,7 +27,7 @@ use hog_hdfs::{
 };
 use hog_mapreduce::jobtracker::FailReason;
 use hog_mapreduce::{Assignment, AttemptRef, JobId, JobSubmission, JobTracker, JtNote, ReduceStep};
-use hog_net::{FlowEnd, FlowId, FlowOutcome, FluidNet, NodeId, Topology};
+use hog_net::{FlowEnd, FlowId, FlowOutcome, FluidNet, NodeId, NodeSet, Topology};
 use hog_obs::{
     render_tail, HistogramId, Layer, MetricId, MetricsRegistry, TraceEvent, TraceLog, Tracer,
 };
@@ -244,9 +244,9 @@ pub struct Cluster {
     rng: SimRng,
     master: NodeId,
     /// Nodes whose daemons are running (zombies included).
-    daemons_up: BTreeSet<NodeId>,
+    daemons_up: NodeSet,
     /// Zombie nodes: daemons up, storage gone.
-    zombies: BTreeSet<NodeId>,
+    zombies: NodeSet,
     flows: HashMap<FlowId, FlowCtx>,
     attempt_flows: HashMap<AttemptRef, Vec<FlowId>>,
     writes: HashMap<u64, WriteState>,
@@ -287,7 +287,7 @@ pub struct Cluster {
     slots_of: HashMap<NodeId, (u8, u8)>,
     /// Nodes currently behind an injected network partition: daemons
     /// alive, traffic and heartbeats cut (hog-chaos).
-    partitioned: BTreeSet<NodeId>,
+    partitioned: NodeSet,
     /// Which nodes each active partition fault cut off (for healing).
     partition_members: HashMap<u32, Vec<NodeId>>,
     /// Straggler slowdowns: node → (cpu multiplier, disk multiplier).
@@ -399,8 +399,8 @@ impl Cluster {
             masters: MasterStack::new(nn, jt, failover_cfg),
             rng,
             master,
-            daemons_up: BTreeSet::new(),
-            zombies: BTreeSet::new(),
+            daemons_up: NodeSet::new(),
+            zombies: NodeSet::new(),
             flows: HashMap::new(),
             attempt_flows: HashMap::new(),
             writes: HashMap::new(),
@@ -426,7 +426,7 @@ impl Cluster {
             elastic,
             elastic_actions: Vec::new(),
             slots_of: HashMap::new(),
-            partitioned: BTreeSet::new(),
+            partitioned: NodeSet::new(),
             partition_members: HashMap::new(),
             straggle: HashMap::new(),
             master_stalled_until: None,
@@ -906,16 +906,16 @@ impl Cluster {
 
     /// Whether a node is alive with working storage (writable target).
     fn node_usable(&self, node: NodeId) -> bool {
-        self.daemons_up.contains(&node)
-            && !self.zombies.contains(&node)
-            && !self.partitioned.contains(&node)
+        self.daemons_up.contains(node)
+            && !self.zombies.contains(node)
+            && !self.partitioned.contains(node)
     }
 
     /// Whether a node is alive and on the network: daemons running and
     /// not cut off by an injected partition. Storage state is irrelevant
     /// (a zombie still serves cached map output and heartbeats).
     fn node_reachable(&self, node: NodeId) -> bool {
-        self.daemons_up.contains(&node) && !self.partitioned.contains(&node)
+        self.daemons_up.contains(node) && !self.partitioned.contains(node)
     }
 
     /// Chaos straggler multipliers for `node`: `(cpu, disk)`, 1.0 = no
@@ -1252,9 +1252,9 @@ impl Cluster {
     /// Daemons on `node` are gone: kill flows, stop heartbeats, let the
     /// masters time the node out.
     fn shutdown_daemons(&mut self, node: NodeId, sched: &mut Scheduler<'_, Event>) {
-        self.daemons_up.remove(&node);
-        self.zombies.remove(&node);
-        self.partitioned.remove(&node);
+        self.daemons_up.remove(node);
+        self.zombies.remove(node);
+        self.partitioned.remove(node);
         self.straggle.remove(&node);
         self.slots_of.remove(&node);
         // Mark the masters' views FIRST: killed-flow handlers below may
@@ -1304,20 +1304,20 @@ impl Cluster {
         master_reachable: bool,
         assignments: &mut Vec<Assignment>,
     ) {
-        if !self.daemons_up.contains(&node) {
+        if !self.daemons_up.contains(node) {
             return; // daemon gone: heartbeats stop
         }
         // A partitioned worker keeps its daemons (and this timer)
         // alive, but its heartbeats never reach the JobTracker; a
         // stalled or crashed master receives nothing. Either way
         // the masters' timeout machinery sees silence.
-        if master_reachable && !self.partitioned.contains(&node) {
+        if master_reachable && !self.partitioned.contains(node) {
             self.masters
                 .jt
                 .heartbeat_into(sched.now(), node, &self.topo, assignments);
             self.start_assignments(sched, node, assignments);
         }
-        sched.after(self.cfg.mr.heartbeat_interval, Event::Heartbeat { node });
+        sched.every(self.cfg.mr.heartbeat_interval, Event::Heartbeat { node });
     }
 
     fn start_assignments(
@@ -1346,7 +1346,7 @@ impl Cluster {
                             output_bytes,
                         },
                     );
-                    if self.zombies.contains(&node) {
+                    if self.zombies.contains(node) {
                         sched.after(
                             ZOMBIE_FAIL_DELAY,
                             Event::AttemptDoomed {
@@ -1359,7 +1359,7 @@ impl Cluster {
                     }
                 }
                 Assignment::Reduce { attempt } => {
-                    if self.zombies.contains(&node) {
+                    if self.zombies.contains(node) {
                         sched.after(
                             ZOMBIE_FAIL_DELAY,
                             Event::AttemptDoomed {
@@ -1776,8 +1776,7 @@ impl Cluster {
         let mut ranked: Vec<(f64, NodeId)> = self
             .daemons_up
             .iter()
-            .copied()
-            .filter(|n| !self.zombies.contains(n))
+            .filter(|&n| !self.zombies.contains(n))
             .filter(|&n| !self.masters.jt.tracker_busy(n))
             .map(|n| (self.masters.jt.site_penalty(self.topo.site_of(n), now), n))
             .collect();
@@ -1868,9 +1867,9 @@ impl Cluster {
     /// proactively re-run — the victim filter only hands over trackers
     /// whose outputs no unfinished reduce still needs.
     fn on_node_decommissioned(&mut self, node: NodeId, sched: &mut Scheduler<'_, Event>) {
-        self.daemons_up.remove(&node);
-        self.zombies.remove(&node);
-        self.partitioned.remove(&node);
+        self.daemons_up.remove(node);
+        self.zombies.remove(node);
+        self.partitioned.remove(node);
         self.straggle.remove(&node);
         self.slots_of.remove(&node);
         self.masters.nn.mark_silent(sched.now(), node);
@@ -2039,7 +2038,7 @@ impl Cluster {
         }
         self.run_chaos_supervision(sched.now());
         self.arm_net(sched);
-        sched.after(
+        sched.every(
             self.cfg.hdfs.replication_monitor_interval,
             Event::MasterTick,
         );
@@ -2236,8 +2235,7 @@ impl Cluster {
         let reachable: Vec<NodeId> = self
             .daemons_up
             .iter()
-            .copied()
-            .filter(|&n| !self.partitioned.contains(&n))
+            .filter(|&n| !self.partitioned.contains(n))
             .collect();
         let mut rereg = 0u64;
         for &n in &reachable {
@@ -2246,7 +2244,7 @@ impl Cluster {
                 .map(|d| d.blocks.iter().copied().collect())
                 .unwrap_or_default();
             self.masters.nn.replay_block_report(now, n, &report);
-            if self.zombies.contains(&n) {
+            if self.zombies.contains(n) {
                 self.masters.nn.mark_storage_failed(n);
             }
             rereg += 1;
@@ -2260,7 +2258,7 @@ impl Cluster {
             .datanodes()
             .filter(|&(n, d)| {
                 d.liveness == DnLiveness::Live
-                    && (!self.daemons_up.contains(&n) || self.partitioned.contains(&n))
+                    && (!self.daemons_up.contains(n) || self.partitioned.contains(n))
             })
             .map(|(n, _)| n)
             .collect();
@@ -2284,8 +2282,7 @@ impl Cluster {
         let mut tracker_silent: Vec<NodeId> = self
             .daemons_up
             .iter()
-            .copied()
-            .filter(|&n| self.partitioned.contains(&n) && self.masters.jt.tracker_live(n))
+            .filter(|&n| self.partitioned.contains(n) && self.masters.jt.tracker_live(n))
             .collect();
         tracker_silent.sort_by_key(|n| n.0);
         for n in tracker_silent {
@@ -2376,8 +2373,7 @@ impl Cluster {
                 let members: Vec<NodeId> = self
                     .daemons_up
                     .iter()
-                    .copied()
-                    .filter(|&n| self.topo.site_of(n) == site && !self.partitioned.contains(&n))
+                    .filter(|&n| self.topo.site_of(n) == site && !self.partitioned.contains(n))
                     .collect();
                 for &n in &members {
                     self.partitioned.insert(n);
@@ -2402,8 +2398,7 @@ impl Cluster {
                 let mut candidates: Vec<NodeId> = self
                     .daemons_up
                     .iter()
-                    .copied()
-                    .filter(|&n| !self.zombies.contains(&n) && !self.partitioned.contains(&n))
+                    .filter(|&n| !self.zombies.contains(n) && !self.partitioned.contains(n))
                     .collect();
                 self.chaos_rng.shuffle(&mut candidates);
                 for n in candidates.into_iter().take(count) {
@@ -2419,7 +2414,6 @@ impl Cluster {
                 let mut candidates: Vec<NodeId> = self
                     .daemons_up
                     .iter()
-                    .copied()
                     .filter(|n| !self.straggle.contains_key(n))
                     .collect();
                 self.chaos_rng.shuffle(&mut candidates);
@@ -2434,7 +2428,7 @@ impl Cluster {
             Fault::CorruptAccounting { delta_bytes } => {
                 // Deliberately breaks the namenode's books so the auditor
                 // has something real to catch (negative-testing fault).
-                if let Some(&n) = self.daemons_up.iter().next() {
+                if let Some(n) = self.daemons_up.iter().next() {
                     self.masters.nn.debug_skew_used(n, delta_bytes);
                 }
             }
@@ -2461,8 +2455,8 @@ impl Cluster {
             Fault::SitePartition { .. } => {
                 let members = self.partition_members.remove(&index).unwrap_or_default();
                 for n in members {
-                    self.partitioned.remove(&n);
-                    if !self.daemons_up.contains(&n) {
+                    self.partitioned.remove(n);
+                    if !self.daemons_up.contains(n) {
                         continue; // lost for real while cut off
                     }
                     self.net.register_node(n, self.topo.site_of(n));
@@ -2476,7 +2470,7 @@ impl Cluster {
                         // block accounting); it reports back in empty, as
                         // a restarted datanode would.
                         self.masters.nn.register_datanode(sched.now(), n);
-                        if self.zombies.contains(&n) {
+                        if self.zombies.contains(n) {
                             self.masters.nn.mark_storage_failed(n);
                         }
                     } else {
@@ -2554,8 +2548,8 @@ impl Cluster {
                 ));
             }
         }
-        for &n in self.daemons_up.iter() {
-            if self.masters.jt.tracker_live(n) && self.partitioned.contains(&n) {
+        for n in self.daemons_up.iter() {
+            if self.masters.jt.tracker_live(n) && self.partitioned.contains(n) {
                 v.push(Violation::new(
                     "cluster",
                     format!("jobtracker believes {n:?} is Live across a partition"),
@@ -2580,7 +2574,7 @@ impl Cluster {
             pool_size: self
                 .daemons_up
                 .iter()
-                .filter(|&&n| self.node_usable(n))
+                .filter(|&n| self.node_usable(n))
                 .count(),
             node_starts: self.grid.as_ref().map_or(0, |g| g.node_start_count()),
             upload_remaining: self.upload_queue.len() + self.upload_in_flight,
@@ -2650,10 +2644,10 @@ impl Model for Cluster {
             Event::MasterTick => self.on_master_tick(sched),
             Event::Heartbeat { node } => self.on_heartbeat(sched, node),
             Event::DiskCheck { node } => {
-                if !self.daemons_up.contains(&node) {
+                if !self.daemons_up.contains(node) {
                     return;
                 }
-                if self.zombies.contains(&node) {
+                if self.zombies.contains(node) {
                     // The self-check noticed the working directory is
                     // gone: shut down cleanly (the paper's fix).
                     self.tracer.emit(|| {
@@ -2661,7 +2655,7 @@ impl Model for Cluster {
                     });
                     self.shutdown_daemons(node, sched);
                 } else if let Some(d) = self.cfg.hdfs.disk_check_interval {
-                    sched.after(d, Event::DiskCheck { node });
+                    sched.every(d, Event::DiskCheck { node });
                 }
             }
             Event::MapInputReady { attempt } => {
@@ -2760,7 +2754,9 @@ impl Model for Cluster {
         let master_reachable = self.master_reachable(sched.now());
         let mut assignments = std::mem::take(&mut self.assign_buf);
         while !self.finished() {
-            let Some(event) = events.pop_front() else { break };
+            let Some(event) = events.pop_front() else {
+                break;
+            };
             let Event::Heartbeat { node } = event else {
                 // `batchable` admits only heartbeats; keep the contract
                 // anyway.

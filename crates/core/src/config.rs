@@ -575,9 +575,7 @@ mod tests {
         assert!(plain.straggler.is_none(), "stragglers must default off");
         match &plain.resource {
             ResourceConfig::Grid { sites, .. } => {
-                assert!(sites
-                    .iter()
-                    .all(|s| s.churn == ChurnModel::Exponential));
+                assert!(sites.iter().all(|s| s.churn == ChurnModel::Exponential));
             }
             _ => panic!("HOG runs on the grid"),
         }
@@ -597,9 +595,7 @@ mod tests {
         let back = armed.with_churn_model(ChurnModel::Exponential);
         match &back.resource {
             ResourceConfig::Grid { sites, .. } => {
-                assert!(sites
-                    .iter()
-                    .all(|s| s.churn == ChurnModel::Exponential));
+                assert!(sites.iter().all(|s| s.churn == ChurnModel::Exponential));
             }
             _ => unreachable!(),
         }

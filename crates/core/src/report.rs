@@ -84,12 +84,22 @@ impl TextTable {
 
 /// ASCII line chart of a step series (one value column over time), for
 /// regenerating Figure 5 in a terminal.
-pub fn ascii_series(series: &StepSeries, from: SimTime, to: SimTime, width: usize, height: usize) -> String {
+pub fn ascii_series(
+    series: &StepSeries,
+    from: SimTime,
+    to: SimTime,
+    width: usize,
+    height: usize,
+) -> String {
     let pts = series.resample(from, to, width);
     if pts.is_empty() {
         return String::from("(empty series)\n");
     }
-    let max = pts.iter().map(|&(_, v)| v).fold(f64::MIN, f64::max).max(1.0);
+    let max = pts
+        .iter()
+        .map(|&(_, v)| v)
+        .fold(f64::MIN, f64::max)
+        .max(1.0);
     let min = 0.0f64;
     let mut grid = vec![vec![' '; width]; height];
     for (x, &(_, v)) in pts.iter().enumerate() {
@@ -103,12 +113,7 @@ pub fn ascii_series(series: &StepSeries, from: SimTime, to: SimTime, width: usiz
         let line: String = row.into_iter().collect();
         let _ = writeln!(out, "         │{line}");
     }
-    let _ = writeln!(
-        out,
-        "{:>8.0} └{}",
-        min,
-        "─".repeat(width)
-    );
+    let _ = writeln!(out, "{:>8.0} └{}", min, "─".repeat(width));
     let _ = writeln!(
         out,
         "          {:<10} … {:>10}",

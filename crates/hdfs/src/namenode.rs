@@ -567,8 +567,7 @@ impl Namenode {
         // with `self.policy`/`self.rng` below; an excluded-nodes retry is
         // rare, so it recomputes and leaves the cache invalidated.
         let mut cache = std::mem::take(&mut self.cand_cache);
-        let usable =
-            exclude.is_empty() && cache.epoch == self.dn_epoch && cache.size == size;
+        let usable = exclude.is_empty() && cache.epoch == self.dn_epoch && cache.size == size;
         if !usable {
             cache.cands.clear();
             cache.cands.extend(
@@ -633,11 +632,7 @@ impl Namenode {
         // relative order.
         if self.cand_cache.epoch == self.dn_epoch {
             for &n in written {
-                let Ok(i) = self
-                    .cand_cache
-                    .cands
-                    .binary_search_by_key(&n, |c| c.node)
-                else {
+                let Ok(i) = self.cand_cache.cands.binary_search_by_key(&n, |c| c.node) else {
                     continue;
                 };
                 match self.datanodes.get(&n) {
@@ -851,17 +846,17 @@ impl Namenode {
             // The stream check goes through `get` rather than indexing:
             // a replica map entry whose datanode record vanished (a
             // registration race) must be skipped, not panic the master.
-            let srcs: Vec<NodeId> = meta
-                .replicas
-                .iter()
-                .copied()
-                .filter(|n| {
-                    self.is_live(*n)
-                        && self.datanodes.get(n).is_some_and(|d| {
-                            d.repl_streams < self.cfg.max_repl_streams_per_node
-                        })
-                })
-                .collect();
+            let srcs: Vec<NodeId> =
+                meta.replicas
+                    .iter()
+                    .copied()
+                    .filter(|n| {
+                        self.is_live(*n)
+                            && self.datanodes.get(n).is_some_and(|d| {
+                                d.repl_streams < self.cfg.max_repl_streams_per_node
+                            })
+                    })
+                    .collect();
             if srcs.is_empty() {
                 continue; // nothing usable yet; retry next tick
             }
@@ -891,9 +886,9 @@ impl Namenode {
                     .candidates(size, &exclude, topo)
                     .into_iter()
                     .filter(|c| {
-                        self.datanodes.get(&c.node).is_some_and(|d| {
-                            d.repl_streams < self.cfg.max_repl_streams_per_node
-                        })
+                        self.datanodes
+                            .get(&c.node)
+                            .is_some_and(|d| d.repl_streams < self.cfg.max_repl_streams_per_node)
                     })
                     .collect();
                 // Availability-boosted copies (target above the birth
@@ -1943,7 +1938,11 @@ mod tests {
         );
         let fair = serve(true);
         let unique: BTreeSet<u64> = fair.iter().copied().collect();
-        assert_eq!(unique.len(), 2, "fair dispatch serves both blocks: {fair:?}");
+        assert_eq!(
+            unique.len(),
+            2,
+            "fair dispatch serves both blocks: {fair:?}"
+        );
     }
 
     #[test]
@@ -2026,7 +2025,7 @@ mod tests {
         assert_eq!((raised, lowered), (1, 1));
         assert_eq!(nn.block(hot).expected, 8); // birth 6 + hot boost 2
         assert_eq!(nn.block(cold).expected, 4); // birth 6 - stable drop 2
-        // Every site risky: both blocks buy protection.
+                                                // Every site risky: both blocks buy protection.
         let risky = AvailabilitySnapshot {
             sites: vec![
                 SiteRisk {

@@ -17,7 +17,7 @@ use crate::shuffle::{FetchOrder, ReducePlan};
 use crate::tracker::{TrackerLiveness, TrackerState};
 use crate::AttemptRef;
 use hog_hdfs::BlockId;
-use hog_net::{NodeId, RackId, SiteId, Topology};
+use hog_net::{NodeId, NodeMap, RackId, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sched::{Gate, JobSnapshot, Scheduler, SlotKind};
 use hog_sim_core::{SimDuration, SimRng, SimTime};
@@ -248,7 +248,7 @@ pub struct JobTracker {
     locality: Vec<LocalityIndex>,
     /// Incomplete jobs in submission order (the queue policies reorder).
     fifo: Vec<JobId>,
-    trackers: BTreeMap<NodeId, TrackerState>,
+    trackers: NodeMap<TrackerState>,
     /// Exactly the trackers whose liveness is `Silent`, so the per-tick
     /// death check walks suspects instead of the whole tracker map.
     /// Ascending, like a full scan of `trackers` (audited).
@@ -316,7 +316,7 @@ impl JobTracker {
             jobs: Vec::new(),
             locality: Vec::new(),
             fifo: Vec::new(),
-            trackers: BTreeMap::new(),
+            trackers: NodeMap::new(),
             silent: BTreeSet::new(),
             dead_trackers: 0,
             sorting: HashSet::new(),
@@ -458,7 +458,7 @@ impl JobTracker {
 
     /// The tracker stopped heartbeating (worker preempted cleanly).
     pub fn tracker_silent(&mut self, now: SimTime, node: NodeId) {
-        if let Some(t) = self.trackers.get_mut(&node) {
+        if let Some(t) = self.trackers.get_mut(node) {
             if t.liveness == TrackerLiveness::Live {
                 t.liveness = TrackerLiveness::Silent;
                 t.last_heartbeat = now;
@@ -470,7 +470,7 @@ impl JobTracker {
     /// Whether the JobTracker currently believes the tracker usable.
     pub fn tracker_live(&self, node: NodeId) -> bool {
         self.trackers
-            .get(&node)
+            .get(node)
             .is_some_and(|t| t.liveness == TrackerLiveness::Live)
     }
 
@@ -485,7 +485,7 @@ impl JobTracker {
     /// a later re-attempt would recover through the ordinary
     /// fetch-failure → map-re-run path, exactly as after any death.
     pub fn tracker_busy(&self, node: NodeId) -> bool {
-        let Some(t) = self.trackers.get(&node) else {
+        let Some(t) = self.trackers.get(node) else {
             return false;
         };
         if !t.running.is_empty() {
@@ -592,7 +592,7 @@ impl JobTracker {
             .iter()
             .copied()
             .filter(|n| {
-                self.trackers.get(n).is_some_and(|t| {
+                self.trackers.get(*n).is_some_and(|t| {
                     now.saturating_since(t.last_heartbeat) >= self.cfg.tracker_dead_timeout
                 })
             })
@@ -626,7 +626,7 @@ impl JobTracker {
         // likes to tracker state without an unwrap turning a missing
         // entry into a panic.
         let running = {
-            let Some(t) = self.trackers.get_mut(&node) else {
+            let Some(t) = self.trackers.get_mut(node) else {
                 return notes; // unknown tracker: nothing to declare
             };
             if t.liveness != TrackerLiveness::Dead {
@@ -806,7 +806,7 @@ impl JobTracker {
         // so the free counts can be tracked locally instead of recounting
         // the running set per slot.
         let (mut free_maps, mut free_reduces) = {
-            let Some(t) = self.trackers.get_mut(&node) else {
+            let Some(t) = self.trackers.get_mut(node) else {
                 return;
             };
             if t.liveness == TrackerLiveness::Dead {
@@ -822,6 +822,29 @@ impl JobTracker {
             t.liveness = TrackerLiveness::Live;
             (t.free_map_slots(), t.free_reduce_slots())
         };
+        // Idle fast path. With no `Running` job everything below is a
+        // no-op: `try_assign_*`, `try_rescue` and `try_speculate` walk
+        // only `Running` jobs of the policy order (so nothing is
+        // assigned, no `spec_last_scan` or locality-gate clock moves),
+        // the policy order is a pure cache, and `admit` /
+        // `allow_speculation` are side-effect free. The one state a full
+        // idle pass leaves behind is the rescue negative cache: every
+        // rescue scan it reaches comes back empty and stamps its tier
+        // with `now`. Stamping the same tiers here keeps a job submitted
+        // later in this instant seeing exactly the suppressed rescans
+        // the full pass would have left.
+        if self.agg.active_jobs == 0 {
+            if self.sched.prediction_enabled() {
+                let site = topo.site_of(node);
+                if free_maps > 0 && self.sched.admit(node, site, SlotKind::Map, now) {
+                    self.rescue_last_scan[SlotKind::Map as usize] = [Some(now); 2];
+                }
+                if free_reduces > 0 && self.sched.admit(node, site, SlotKind::Reduce, now) {
+                    self.rescue_last_scan[SlotKind::Reduce as usize][0] = Some(now);
+                }
+            }
+            return;
+        }
         while free_maps > 0 {
             match self.assign_map(now, node, topo) {
                 Some(a) => {
@@ -854,7 +877,7 @@ impl JobTracker {
         job.note_attempt_started(task.kind, task.index, attempt, now);
         let att = AttemptRef { task, attempt };
         self.note_running_delta(task.kind, 1);
-        self.trackers.get_mut(&node).unwrap().running.insert(att);
+        self.trackers.get_mut(node).unwrap().running.insert(att);
         self.tracer.emit(|| {
             TraceEvent::new(Layer::MapReduce, "attempt_start")
                 .with("job", task.job.0)
@@ -892,7 +915,8 @@ impl JobTracker {
                 });
             }
             cache.buf.clear();
-            self.sched.job_order(&self.snap_buf, kind, now, &mut cache.buf);
+            self.sched
+                .job_order(&self.snap_buf, kind, now, &mut cache.buf);
             cache.epoch = self.sched_epoch;
         }
         cache
@@ -1129,7 +1153,7 @@ impl JobTracker {
             .filter_map(|(i, t)| t.completed_on.filter(|_| t.done).map(|n| (i as u32, n)))
             .partition(|&(_, n)| {
                 self.trackers
-                    .get(&n)
+                    .get(n)
                     .is_none_or(|t| t.liveness != TrackerLiveness::Dead)
             });
         for (m, n) in done {
@@ -1254,7 +1278,9 @@ impl JobTracker {
                     && running >= 1
                     && running < max_copies
                     && !on_node.contains(&index)
-                    && self.sched.allow_rescue(node, site, dn, topo.site_of(dn), now)
+                    && self
+                        .sched
+                        .allow_rescue(node, site, dn, topo.site_of(dn), now)
             });
             let candidate = candidate.map(|(index, _)| index);
             let Some(index) = candidate else {
@@ -1268,7 +1294,11 @@ impl JobTracker {
                     .with("task", index)
                     .with("node", node.0)
             });
-            let task = TaskRef { job: jid, kind, index };
+            let task = TaskRef {
+                job: jid,
+                kind,
+                index,
+            };
             let attempt = self.start_attempt(now, task, node);
             self.rescue_attempts.insert(attempt);
             return Some(match kind {
@@ -1510,7 +1540,7 @@ impl JobTracker {
     /// means the disk is full and the attempt must fail.
     pub fn reserve_map_scratch(&mut self, att: AttemptRef, node: NodeId) -> bool {
         let bytes = self.jobs[att.task.job.0 as usize].spec.map_output_bytes;
-        let Some(t) = self.trackers.get_mut(&node) else {
+        let Some(t) = self.trackers.get_mut(node) else {
             return false;
         };
         if !t.try_reserve_scratch(bytes) {
@@ -1556,7 +1586,7 @@ impl JobTracker {
                 .with("node", node.0)
                 .with("secs", dur)
         });
-        self.trackers.get_mut(&node).map(|t| t.running.remove(&att));
+        self.trackers.get_mut(node).map(|t| t.running.remove(&att));
         out.notes.extend(self.kill_siblings(att));
         // Announce the new output to running reduce attempts.
         let site = topo.site_of(node);
@@ -1615,7 +1645,7 @@ impl JobTracker {
                 task: att.task,
                 attempt: i,
             };
-            if let Some(t) = self.trackers.get_mut(&node) {
+            if let Some(t) = self.trackers.get_mut(node) {
                 t.running.remove(&sibling);
             }
             job.reduce_plans.remove(&sibling);
@@ -1700,7 +1730,7 @@ impl JobTracker {
         let still_running = ts.running_attempts() > 0;
         job.note_attempt_stopped(att.task.kind, att.task.index, att.attempt, started);
         self.note_running_delta(att.task.kind, -1);
-        if let Some(t) = self.trackers.get_mut(&node) {
+        if let Some(t) = self.trackers.get_mut(node) {
             t.running.remove(&att);
         }
         // Drop any shuffle state of a failed reduce attempt.
@@ -1773,7 +1803,7 @@ impl JobTracker {
         self.agg.running_reduces -= rr as usize;
         self.bump_epoch();
         for (att, node) in to_kill {
-            if let Some(t) = self.trackers.get_mut(&node) {
+            if let Some(t) = self.trackers.get_mut(node) {
                 t.running.remove(&att);
             }
             self.sorting.remove(&att);
@@ -1789,7 +1819,7 @@ impl JobTracker {
     fn retire_job(&mut self, now: SimTime, jid: JobId) {
         let scratch = std::mem::take(&mut self.jobs[jid.0 as usize].scratch_by_node);
         for (node, bytes) in scratch {
-            if let Some(t) = self.trackers.get_mut(&node) {
+            if let Some(t) = self.trackers.get_mut(node) {
                 t.release_scratch(bytes);
             }
         }
@@ -1888,7 +1918,7 @@ impl JobTracker {
             .trackers
             .iter()
             .filter(|(_, t)| t.liveness == TrackerLiveness::Live)
-            .map(|(&n, _)| n)
+            .map(|(n, _)| n)
             .collect();
         let job = &mut self.jobs[jid.0 as usize];
         // Snapshot surviving outputs before borrowing the plan mutably.
@@ -1976,7 +2006,7 @@ impl JobTracker {
                 .with("node", node.0)
                 .with("secs", dur)
         });
-        if let Some(t) = self.trackers.get_mut(&node) {
+        if let Some(t) = self.trackers.get_mut(node) {
             t.running.remove(&att);
         }
         self.jobs[jid.0 as usize].reduce_plans.remove(&att);
@@ -2177,7 +2207,7 @@ impl JobTracker {
             let job = &mut self.jobs[jid.0 as usize];
             job.scratch_by_node.retain(|n, _| {
                 trackers
-                    .get(n)
+                    .get(*n)
                     .is_some_and(|t| t.liveness != TrackerLiveness::Dead)
             });
         }
@@ -2188,7 +2218,7 @@ impl JobTracker {
             }
         }
         for (n, b) in usage {
-            if let Some(t) = self.trackers.get_mut(&n) {
+            if let Some(t) = self.trackers.get_mut(n) {
                 t.scratch_used += b;
             }
         }
@@ -2257,7 +2287,7 @@ impl JobTracker {
                 job.running_by_start
             );
         }
-        for (n, t) in &self.trackers {
+        for (n, t) in self.trackers.iter() {
             let _ = writeln!(
                 s,
                 "tracker {} slots={}/{} live={:?} hb={:?} scratch={}/{} running={:?}",
@@ -2282,13 +2312,13 @@ impl JobTracker {
     /// Scratch usage of a tracker (disk-overflow reporting).
     pub fn tracker_scratch(&self, node: NodeId) -> Option<(u64, u64)> {
         self.trackers
-            .get(&node)
+            .get(node)
             .map(|t| (t.scratch_used, t.scratch_capacity))
     }
 
     /// Immutable tracker view (tests).
     pub fn tracker(&self, node: NodeId) -> Option<&TrackerState> {
-        self.trackers.get(&node)
+        self.trackers.get(node)
     }
 
     /// Deterministic RNG access for mediator-level tie-breaks that should
@@ -2306,7 +2336,7 @@ impl hog_sim_core::Auditable for JobTracker {
     fn audit(&self) -> Vec<hog_sim_core::Violation> {
         use hog_sim_core::Violation;
         let mut out = Vec::new();
-        for (&n, t) in &self.trackers {
+        for (n, t) in self.trackers.iter() {
             let maps = t.running_of(TaskKind::Map);
             let reduces = t.running_of(TaskKind::Reduce);
             if maps > t.map_slots as usize {
@@ -2406,7 +2436,7 @@ impl hog_sim_core::Auditable for JobTracker {
             .trackers
             .iter()
             .filter(|(_, t)| t.liveness == TrackerLiveness::Silent)
-            .map(|(&n, _)| n)
+            .map(|(n, _)| n)
             .collect();
         if silent_recount != self.silent {
             out.push(Violation::new(
@@ -2493,7 +2523,7 @@ impl hog_sim_core::Auditable for JobTracker {
                 ));
             }
         }
-        for (&n, t) in &self.trackers {
+        for (n, t) in self.trackers.iter() {
             for &att in &t.running {
                 if !self.attempt_active(att) {
                     out.push(Violation::new(

@@ -18,8 +18,8 @@
 //!   index before its retry backoff expires, and must be served after.
 
 use hog_hdfs::BlockId;
-use hog_mapreduce::tracker::TrackerLiveness;
 use hog_mapreduce::jobtracker::FailReason;
+use hog_mapreduce::tracker::TrackerLiveness;
 use hog_mapreduce::{Assignment, AttemptRef, JobSubmission, JobTracker, MrParams};
 use hog_net::{NodeId, SiteId, Topology};
 use hog_sim_core::{SimDuration, SimRng, SimTime};

@@ -14,7 +14,9 @@
 use hog_hdfs::BlockId;
 use hog_mapreduce::job::JobStatus;
 use hog_mapreduce::jobtracker::FailReason;
-use hog_mapreduce::{Assignment, AttemptRef, JobSubmission, JobTracker, MrParams, ReduceStep, TaskKind};
+use hog_mapreduce::{
+    Assignment, AttemptRef, JobSubmission, JobTracker, MrParams, ReduceStep, TaskKind,
+};
 use hog_net::{NodeId, Topology};
 use hog_sim_core::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;

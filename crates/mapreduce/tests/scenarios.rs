@@ -4,7 +4,10 @@
 use hog_hdfs::BlockId;
 use hog_mapreduce::job::JobStatus;
 use hog_mapreduce::jobtracker::{FailReason, Locality};
-use hog_mapreduce::{Assignment, AttemptRef, JobId, JobSubmission, JobTracker, JtNote, MrParams, ReduceStep, TaskKind};
+use hog_mapreduce::{
+    Assignment, AttemptRef, JobId, JobSubmission, JobTracker, JtNote, MrParams, ReduceStep,
+    TaskKind,
+};
 use hog_net::{NodeId, Topology};
 use hog_sim_core::{SimDuration, SimRng, SimTime};
 
@@ -70,11 +73,8 @@ impl Mini {
             for a in assignments {
                 match a {
                     Assignment::Map { attempt, .. } => {
-                        let node = self
-                            .jt
-                            .job(attempt.task.job)
-                            .task(attempt.task)
-                            .attempts[attempt.attempt as usize]
+                        let node = self.jt.job(attempt.task.job).task(attempt.task).attempts
+                            [attempt.attempt as usize]
                             .node;
                         assert!(self.jt.reserve_map_scratch(attempt, node));
                         let out = self.jt.map_done(now, attempt, &self.topo);
@@ -206,7 +206,9 @@ fn slowstart_gates_reduces() {
     m.submit(SimTime::ZERO, 4, 2);
     let assignments = m.heartbeat_all(SimTime::from_secs(3));
     // All four map slots busy; no reduce yet (0% maps done).
-    assert!(assignments.iter().all(|a| matches!(a, Assignment::Map { .. })));
+    assert!(assignments
+        .iter()
+        .all(|a| matches!(a, Assignment::Map { .. })));
     // Finish 2 maps (50%): reduces may start.
     for a in assignments.iter().take(2) {
         let att = a.attempt();
@@ -289,8 +291,11 @@ fn max_attempts_fails_the_job() {
             .map(|x| x.attempt())
             .find(|x| x.task.kind == TaskKind::Map)
             .unwrap();
-        let notes =
-            m.jt.attempt_failed(SimTime::from_secs(3 * (round + 1) + 1), map_att, FailReason::LostBlock);
+        let notes = m.jt.attempt_failed(
+            SimTime::from_secs(3 * (round + 1) + 1),
+            map_att,
+            FailReason::LostBlock,
+        );
         if round == 1 {
             assert!(notes.contains(&JtNote::JobFailed { job: j }));
         }
@@ -329,8 +334,7 @@ fn tracker_death_requeues_running_and_reruns_lost_maps() {
         .map(|a| a.attempt())
         .find(|a| {
             a.task.kind == TaskKind::Map
-                && m.jt.job(a.task.job).task(a.task).attempts[a.attempt as usize].node
-                    == m.nodes[0]
+                && m.jt.job(a.task.job).task(a.task).attempts[a.attempt as usize].node == m.nodes[0]
         })
         .unwrap();
     m.jt.map_done(SimTime::from_secs(10), att0, &m.topo);
@@ -380,6 +384,99 @@ fn speculation_launches_second_copy_and_winner_kills_loser() {
     assert!(!m.jt.attempt_active(atts[2]));
 }
 
+/// The idle fast path: with no Running job a heartbeat assigns nothing
+/// but still stamps `last_heartbeat` and heals a Silent tracker to Live.
+#[test]
+fn idle_heartbeat_stamps_liveness_and_assigns_nothing() {
+    use hog_sim_core::Auditable;
+    let mut m = Mini::new(1, 2, MrParams::hog());
+    let n = m.nodes[0];
+    let t = SimTime::from_secs;
+    assert!(m.jt.heartbeat(t(3), n, &m.topo).is_empty());
+    assert_eq!(m.jt.tracker(n).unwrap().last_heartbeat, t(3));
+    // A partition heals before the timeout: the next heartbeat, still
+    // with no job, flips the tracker back to Live and off the suspects.
+    m.jt.tracker_silent(t(4), n);
+    assert!(!m.jt.tracker_live(n));
+    assert!(m.jt.heartbeat(t(6), n, &m.topo).is_empty());
+    assert!(m.jt.tracker_live(n));
+    assert_eq!(m.jt.tracker(n).unwrap().last_heartbeat, t(6));
+    assert!(m.jt.audit().is_empty(), "{:?}", m.jt.audit());
+    let (dead, _) = m.jt.check_dead(t(6) + m.jt.config().tracker_dead_timeout);
+    assert_eq!(dead, vec![], "a healed tracker left on the suspect list");
+    // Idle again after a job ran to completion: the same holds.
+    m.submit(t(10), 2, 1);
+    m.run_to_completion(t(10));
+    assert_eq!(m.jt.backlog().active_jobs, 0);
+    let later = t(500);
+    for &node in &m.nodes.clone() {
+        m.jt.tracker_silent(later, node);
+        assert!(m.jt.heartbeat(later, node, &m.topo).is_empty());
+        assert!(m.jt.tracker_live(node));
+        assert_eq!(m.jt.tracker(node).unwrap().last_heartbeat, later);
+    }
+    assert!(m.jt.audit().is_empty(), "{:?}", m.jt.audit());
+}
+
+/// An idle heartbeat leaves the rescue negative cache exactly as a full
+/// scheduling pass does: a job submitted later in the same instant sees
+/// its rescue scans suppressed until the clock moves.
+#[test]
+fn idle_heartbeat_keeps_the_rescue_scan_cache() {
+    let cfg = MrParams {
+        sched: hog_mapreduce::SchedPolicy::Predictive,
+        ..MrParams::hog()
+    };
+    let mut m = Mini::new(2, 5, cfg);
+    let t = SimTime::from_secs;
+    // Four site-0 workers die at 130 s of age: site 0 now has a trusted
+    // 130 s median lifetime, so its surviving 150 s-old worker `doomed`
+    // sits in the age band. `rescuer` (site 1) re-registers at 100 s,
+    // young and unpenalised.
+    let (doomed, rescuer) = (m.nodes[0], m.nodes[5]);
+    for &v in &m.nodes[1..5] {
+        m.jt.tracker_silent(t(100), v);
+    }
+    assert_eq!(m.jt.check_dead(t(130)).0.len(), 4);
+    m.jt.register_tracker(t(100), rescuer, m.topo.site_of(rescuer), 1, 1);
+    let now = t(150);
+    assert!(m.jt.heartbeat(now, rescuer, &m.topo).is_empty(), "idle");
+    m.submit(now, 1, 0);
+    assert_eq!(m.jt.heartbeat(now, doomed, &m.topo).len(), 1);
+    assert!(m.jt.heartbeat(now, rescuer, &m.topo).is_empty());
+    assert_eq!(m.jt.counters().rescue_copies, 0);
+    // One millisecond later the scan runs and the rescue is due.
+    let later = now + SimDuration::from_millis(1);
+    assert_eq!(m.jt.heartbeat(later, rescuer, &m.topo).len(), 1);
+    assert_eq!(m.jt.counters().rescue_copies, 1);
+}
+
+/// The fast path keys on Running jobs, not on pending work: a Running
+/// job with nothing pending still gets its straggler speculated.
+#[test]
+fn heartbeat_with_nothing_pending_still_speculates() {
+    let mut cfg = MrParams::hog();
+    cfg.speculative_min_completed = 1;
+    let mut m = Mini::new(1, 3, cfg);
+    m.submit(SimTime::ZERO, 3, 0);
+    let atts: Vec<AttemptRef> = m
+        .heartbeat_all(SimTime::from_secs(3))
+        .iter()
+        .map(|a| a.attempt())
+        .collect();
+    m.jt.map_done(SimTime::from_secs(10), atts[0], &m.topo);
+    m.jt.map_done(SimTime::from_secs(10), atts[1], &m.topo);
+    let b = m.jt.backlog();
+    assert_eq!(
+        (b.active_jobs, b.pending_maps, b.pending_reduces),
+        (1, 0, 0)
+    );
+    let a = m.jt.heartbeat(SimTime::from_secs(100), m.nodes[0], &m.topo);
+    assert_eq!(a.len(), 1, "the idle guard fired with a Running job");
+    assert_eq!(a[0].attempt().task, atts[2].task);
+    assert_eq!(m.jt.counters().speculative, 1);
+}
+
 #[test]
 fn speculation_disabled_means_no_second_copies() {
     let mut m = Mini::new(1, 3, MrParams::hog().with_speculation(false));
@@ -388,7 +485,8 @@ fn speculation_disabled_means_no_second_copies() {
     let atts: Vec<AttemptRef> = assignments.iter().map(|a| a.attempt()).collect();
     m.jt.map_done(SimTime::from_secs(10), atts[0], &m.topo);
     m.jt.map_done(SimTime::from_secs(10), atts[1], &m.topo);
-    let a = m.jt.heartbeat(SimTime::from_secs(1000), m.nodes[0], &m.topo);
+    let a =
+        m.jt.heartbeat(SimTime::from_secs(1000), m.nodes[0], &m.topo);
     assert!(a.is_empty());
     assert_eq!(m.jt.counters().speculative, 0);
 }

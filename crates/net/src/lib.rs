@@ -7,6 +7,8 @@
 //! * [`topology`] — node/site identity, DNS-style hostnames and the
 //!   `workername.site.edu → site.edu` grouping rule HOG's site-awareness
 //!   script applies.
+//! * [`nodes`] — dense per-node containers ([`NodeSet`], [`NodeMap`])
+//!   indexed by node id, iterated in ascending id order.
 //! * [`params`] — link capacities and latencies ([`NetParams`]).
 //! * [`fluid`] — an event-driven **max-min fair fluid-flow** network
 //!   ([`FluidNet`]): every active transfer gets a rate from progressive
@@ -18,14 +20,16 @@
 #![forbid(unsafe_code)]
 
 pub mod fluid;
+pub mod nodes;
 pub mod params;
 pub mod topology;
 pub mod wan;
 
 pub use fluid::FluidNet;
+pub use nodes::{NodeMap, NodeSet};
 pub use params::NetParams;
-pub use wan::{WanDone, WanTier, WanTransferId};
 pub use topology::{site_domain_of, NodeId, RackId, SiteId, Topology, RACK_SIZE};
+pub use wan::{WanDone, WanTier, WanTransferId};
 
 /// Identifier of an in-flight transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

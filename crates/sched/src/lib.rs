@@ -328,9 +328,9 @@ pub fn build(policy: SchedPolicy) -> Box<dyn Scheduler> {
         SchedPolicy::Fifo => Box::new(FifoSched::new()),
         SchedPolicy::Fair => Box::new(FairSched::new()),
         SchedPolicy::FailureAware => Box::new(FailureAwareSched::new()),
-        SchedPolicy::Predictive => Box::new(FailureAwareSched::new().with_prediction(
-            failure::DEFAULT_PREDICT_THRESHOLD,
-        )),
+        SchedPolicy::Predictive => {
+            Box::new(FailureAwareSched::new().with_prediction(failure::DEFAULT_PREDICT_THRESHOLD))
+        }
     }
 }
 

@@ -6,13 +6,14 @@
 //! * fluid-network rate recomputation (runs on every flow-set change);
 //! * placement-policy target selection (every block allocation and
 //!   replication order);
-//! * namenode death-detection + replication-dispatch tick;
+//! * namenode death-detection + replication-dispatch tick, small and at
+//!   10k datanodes;
 //! * a full small end-to-end workload run.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hog_core::driver::run_workload;
 use hog_core::ClusterConfig;
-use hog_hdfs::placement::{Candidate, PlacementPolicy, SiteAwarePolicy};
+use hog_hdfs::placement::{CandidateIndex, PlacementPolicy, SiteAwarePolicy};
 use hog_net::{FluidNet, NetParams, NodeId, SiteId};
 use hog_sim_core::{EventQueue, SimDuration, SimRng, SimTime};
 use hog_workload::facebook::Bin;
@@ -111,20 +112,20 @@ fn bench_fluid_recompute(c: &mut Criterion) {
 }
 
 fn bench_placement(c: &mut Criterion) {
-    c.bench_function("site_aware_choose_10_of_1000", |b| {
-        let candidates: Vec<Candidate> = (0..1000u32)
-            .map(|i| Candidate {
-                node: NodeId(i),
-                site: SiteId((i % 5) as u16),
-                free: 1_000_000_000 - (i as u64) * 1000,
+    for n_nodes in [1000u32, 10_000] {
+        c.bench_function(&format!("site_aware_choose_10_of_{n_nodes}"), |b| {
+            let mut index = CandidateIndex::new();
+            for i in 0..n_nodes {
+                let free = 1_000_000_000 - (i as u64) * 1000;
+                index.refile(NodeId(i), Some((SiteId((i % 5) as u16), free)));
+            }
+            let mut rng = SimRng::seed_from_u64(2);
+            b.iter(|| {
+                let chosen = SiteAwarePolicy.choose(None, 10, &[], &index.view(0), &mut rng);
+                black_box(chosen.len())
             })
-            .collect();
-        let mut rng = SimRng::seed_from_u64(2);
-        b.iter(|| {
-            let chosen = SiteAwarePolicy.choose(None, 10, &[], &candidates, &mut rng);
-            black_box(chosen.len())
-        })
-    });
+        });
+    }
 }
 
 fn bench_namenode_tick(c: &mut Criterion) {
@@ -147,11 +148,11 @@ fn bench_namenode_tick(c: &mut Criterion) {
                     SimRng::seed_from_u64(3),
                 );
                 for &n in &nodes {
-                    nn.register_datanode(SimTime::ZERO, n);
+                    nn.register_datanode(SimTime::ZERO, n, topo.site_of(n));
                 }
                 let f = nn.create_file_default("/in");
                 for _ in 0..200 {
-                    let (blk, t) = nn.allocate_block(f, 64 << 20, None, &topo).unwrap();
+                    let (blk, t) = nn.allocate_block(f, 64 << 20, None).unwrap();
                     nn.commit_block(blk, &t);
                 }
                 nn.mark_silent(SimTime::from_secs(1), nodes[0]);
@@ -159,6 +160,53 @@ fn bench_namenode_tick(c: &mut Criterion) {
             },
             |(mut nn, topo)| {
                 let out = nn.tick(SimTime::from_secs(60), &topo);
+                black_box(out.orders.len())
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+/// The pool_10k repair shape: 10k datanodes on 25 sites, replication
+/// 10, and one monitor tick that declares 80 replica holders dead and
+/// issues a full budget of 64 repair orders.
+fn bench_namenode_repair_tick(c: &mut Criterion) {
+    use hog_hdfs::{HdfsConfig, Namenode};
+    use hog_net::Topology;
+    c.bench_function("namenode_repair_tick_10k", |b| {
+        b.iter_batched(
+            || {
+                let mut topo = Topology::new();
+                let mut nodes = Vec::new();
+                for s in 0..25 {
+                    let site = topo.add_site(format!("S{s}"), format!("s{s}.edu"));
+                    for _ in 0..400 {
+                        nodes.push(topo.add_node(site));
+                    }
+                }
+                let mut nn = Namenode::new(
+                    HdfsConfig::hog().with_replication(10),
+                    Box::new(SiteAwarePolicy),
+                    SimRng::seed_from_u64(4),
+                );
+                for &n in &nodes {
+                    nn.register_datanode(SimTime::ZERO, n, topo.site_of(n));
+                }
+                let f = nn.create_file_default("/in");
+                let mut holders = Vec::new();
+                for _ in 0..200 {
+                    let (blk, t) = nn.allocate_block(f, 64 << 20, None).unwrap();
+                    nn.commit_block(blk, &t);
+                    holders.push(t[0]);
+                }
+                for &n in &holders[..80] {
+                    nn.mark_silent(SimTime::from_secs(1), n);
+                }
+                (nn, topo)
+            },
+            |(mut nn, topo)| {
+                let out = nn.tick(SimTime::from_secs(60), &topo);
+                assert_eq!(out.orders.len(), 64);
                 black_box(out.orders.len())
             },
             BatchSize::SmallInput,
@@ -217,6 +265,7 @@ criterion_group!(
     bench_fluid_recompute,
     bench_placement,
     bench_namenode_tick,
+    bench_namenode_repair_tick,
     bench_end_to_end
 );
 criterion_main!(benches);

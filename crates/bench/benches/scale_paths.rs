@@ -79,11 +79,11 @@ fn bench_namenode_tick(c: &mut Criterion) {
                     SimRng::seed_from_u64(3),
                 );
                 for &n in &nodes {
-                    nn.register_datanode(SimTime::ZERO, n);
+                    nn.register_datanode(SimTime::ZERO, n, topo.site_of(n));
                 }
                 let f = nn.create_file_default("/in");
                 for _ in 0..10_000 {
-                    let (blk, t) = nn.allocate_block(f, 8 << 20, None, &topo).unwrap();
+                    let (blk, t) = nn.allocate_block(f, 8 << 20, None).unwrap();
                     nn.commit_block(blk, &t);
                 }
                 for &n in nodes.iter().take(7) {

@@ -541,7 +541,9 @@ impl Cluster {
         self.daemons_up.insert(node);
         self.slots_of.insert(node, (m, r));
         self.net.register_node(node, self.topo.site_of(node));
-        self.masters.nn.register_datanode(now, node);
+        self.masters
+            .nn
+            .register_datanode(now, node, self.topo.site_of(node));
         self.masters
             .jt
             .register_tracker(now, node, self.topo.site_of(node), m, r);
@@ -717,7 +719,7 @@ impl Cluster {
             let Some((file, size)) = self.upload_queue.pop_front() else {
                 break;
             };
-            match self.masters.nn.allocate_block(file, size, None, &self.topo) {
+            match self.masters.nn.allocate_block(file, size, None) {
                 Some((block, targets)) => {
                     self.upload_in_flight += 1;
                     self.start_write(sched, WriteOwner::Upload, file, block, size, targets, None);
@@ -1033,7 +1035,7 @@ impl Cluster {
             if let Some((block, targets)) = self
                 .masters
                 .nn
-                .allocate_block_excluding(file, size, writer, &excluded, &self.topo)
+                .allocate_block_excluding(file, size, writer, &excluded)
             {
                 let id = self.next_write_id;
                 self.next_write_id += 1;
@@ -1544,11 +1546,7 @@ impl Cluster {
             attempt.task.job.0, attempt.task.index, attempt.attempt
         );
         let file = self.masters.nn.create_file(path, repl);
-        match self
-            .masters
-            .nn
-            .allocate_block(file, bytes, Some(node), &self.topo)
-        {
+        match self.masters.nn.allocate_block(file, bytes, Some(node)) {
             Some((block, targets)) => {
                 self.start_write(
                     sched,
@@ -2243,7 +2241,9 @@ impl Cluster {
                 .datanode(n)
                 .map(|d| d.blocks.iter().copied().collect())
                 .unwrap_or_default();
-            self.masters.nn.replay_block_report(now, n, &report);
+            self.masters
+                .nn
+                .replay_block_report(now, n, self.topo.site_of(n), &report);
             if self.zombies.contains(n) {
                 self.masters.nn.mark_storage_failed(n);
             }
@@ -2469,7 +2469,9 @@ impl Cluster {
                         // The namenode wrote the node off (and dropped its
                         // block accounting); it reports back in empty, as
                         // a restarted datanode would.
-                        self.masters.nn.register_datanode(sched.now(), n);
+                        self.masters
+                            .nn
+                            .register_datanode(sched.now(), n, self.topo.site_of(n));
                         if self.zombies.contains(n) {
                             self.masters.nn.mark_storage_failed(n);
                         }

@@ -205,19 +205,19 @@ mod tests {
         let cfg = HdfsConfig::hog().with_replication(2).with_capacity(1 << 30);
         let mut nn = Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(3));
         for &n in &old {
-            nn.register_datanode(SimTime::ZERO, n);
+            nn.register_datanode(SimTime::ZERO, n, topo.site_of(n));
         }
         // Fill the old nodes with data.
         let f = nn.create_file_default("/data");
         for _ in 0..20 {
-            let (b, t) = nn.allocate_block(f, 32 << 20, None, &topo).unwrap();
+            let (b, t) = nn.allocate_block(f, 32 << 20, None).unwrap();
             nn.commit_block(b, &t);
         }
         nn.complete_file(f);
         // New empty nodes join (pool grew).
         let new: Vec<NodeId> = (0..4).map(|_| topo.add_node(site)).collect();
         for &n in &new {
-            nn.register_datanode(SimTime::from_secs(100), n);
+            nn.register_datanode(SimTime::from_secs(100), n, topo.site_of(n));
         }
         (nn, topo, new)
     }
@@ -309,7 +309,7 @@ mod tests {
         let n = topo.add_node(site);
         let cfg = HdfsConfig::hog().with_replication(1);
         let mut nn = Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(1));
-        nn.register_datanode(SimTime::ZERO, n);
+        nn.register_datanode(SimTime::ZERO, n, topo.site_of(n));
         assert!(plan(&nn, &topo, 0.1, 10).moves.is_empty());
     }
 }

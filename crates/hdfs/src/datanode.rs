@@ -1,6 +1,7 @@
 //! Datanode-side state as tracked by the namenode and the mediator.
 
 use crate::types::BlockId;
+use hog_net::SiteId;
 use hog_sim_core::SimTime;
 use std::collections::BTreeSet;
 
@@ -20,6 +21,8 @@ pub enum DnLiveness {
 /// Per-datanode record.
 #[derive(Clone, Debug)]
 pub struct DatanodeInfo {
+    /// The site the node runs at.
+    pub site: SiteId,
     /// Usable HDFS capacity in bytes.
     pub capacity: u64,
     /// Bytes of block data currently stored.
@@ -40,9 +43,10 @@ pub struct DatanodeInfo {
 }
 
 impl DatanodeInfo {
-    /// A fresh, healthy datanode registered at `now`.
-    pub fn new(capacity: u64, now: SimTime) -> Self {
+    /// A fresh, healthy datanode at `site`, registered at `now`.
+    pub fn new(capacity: u64, site: SiteId, now: SimTime) -> Self {
         DatanodeInfo {
+            site,
             capacity,
             used: 0,
             blocks: BTreeSet::new(),
@@ -56,13 +60,6 @@ impl DatanodeInfo {
     /// Free capacity.
     pub fn free(&self) -> u64 {
         self.capacity.saturating_sub(self.used)
-    }
-
-    /// Whether this node can accept `bytes` more block data. A zombie
-    /// claims it can (its heartbeats look healthy) — the namenode finds out
-    /// when the write fails.
-    pub fn can_accept(&self, bytes: u64) -> bool {
-        self.liveness == DnLiveness::Live && self.free() >= bytes
     }
 
     /// Account a stored block.
@@ -86,30 +83,21 @@ mod tests {
 
     #[test]
     fn capacity_accounting() {
-        let mut dn = DatanodeInfo::new(100, SimTime::ZERO);
+        let mut dn = DatanodeInfo::new(100, SiteId(0), SimTime::ZERO);
         dn.add_block(BlockId(1), 40);
         dn.add_block(BlockId(2), 40);
         assert_eq!(dn.free(), 20);
-        assert!(dn.can_accept(20));
-        assert!(!dn.can_accept(21));
         dn.remove_block(BlockId(1), 40);
         assert_eq!(dn.free(), 60);
     }
 
     #[test]
     fn double_add_is_idempotent() {
-        let mut dn = DatanodeInfo::new(100, SimTime::ZERO);
+        let mut dn = DatanodeInfo::new(100, SiteId(0), SimTime::ZERO);
         dn.add_block(BlockId(1), 40);
         dn.add_block(BlockId(1), 40);
         assert_eq!(dn.used, 40);
         dn.remove_block(BlockId(9), 40); // not present: no-op
         assert_eq!(dn.used, 40);
-    }
-
-    #[test]
-    fn dead_nodes_accept_nothing() {
-        let mut dn = DatanodeInfo::new(100, SimTime::ZERO);
-        dn.liveness = DnLiveness::Dead;
-        assert!(!dn.can_accept(1));
     }
 }

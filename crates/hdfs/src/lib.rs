@@ -38,7 +38,7 @@ pub use config::HdfsConfig;
 pub use datanode::DatanodeInfo;
 pub use namenode::{Namenode, NamenodeTickOutput, ReplOrder};
 pub use placement::{
-    stable_first, AnchorFirstPolicy, PlacementPolicy, RackAwarePolicy, RackObliviousPolicy,
-    SiteAwarePolicy,
+    AnchorFirstPolicy, CandidateIndex, Candidates, PlacementPolicy, RackAwarePolicy,
+    RackObliviousPolicy, SiteAwarePolicy,
 };
 pub use types::{BlockId, BlockMeta, FileId, FileMeta};

@@ -20,12 +20,12 @@
 use crate::availability::{AvailabilitySnapshot, SiteBand};
 use crate::config::HdfsConfig;
 use crate::datanode::{DatanodeInfo, DnLiveness};
-use crate::placement::{Candidate, PlacementPolicy};
+use crate::placement::{CandidateIndex, PlacementPolicy};
 use crate::types::{BlockId, BlockMeta, FileId, FileMeta};
-use hog_net::{NodeId, Topology};
+use hog_net::{NodeId, NodeMap, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sim_core::{SimRng, SimTime};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// A replication transfer the namenode wants executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -187,19 +187,6 @@ impl ReplQueue {
     }
 }
 
-/// Memoized result of [`Namenode::candidates`] for the hot empty-exclude
-/// allocation path (every `allocate_block` call during an upload). Valid
-/// only while `epoch` matches `Namenode::dn_epoch` — bumped on every
-/// datanode-record mutation — and the block size matches; `epoch` 0 never
-/// matches. The cached vector is exactly what a fresh ascending scan of
-/// `datanodes` would produce, so hits are bit-identical to misses.
-#[derive(Clone, Default)]
-struct CandCache {
-    epoch: u64,
-    size: u64,
-    cands: Vec<Candidate>,
-}
-
 /// The HDFS master. See the module docs for the liveness protocol.
 ///
 /// `Clone` snapshots the namenode wholesale (namespace, block map,
@@ -212,18 +199,17 @@ pub struct Namenode {
     files_by_path: HashMap<String, FileId>,
     files: Vec<FileMeta>,
     blocks: Vec<BlockMeta>,
-    datanodes: BTreeMap<NodeId, DatanodeInfo>,
+    datanodes: NodeMap<DatanodeInfo>,
     /// Exactly the datanodes whose liveness is `Silent`, so the per-tick
     /// death check walks suspects instead of the whole datanode map.
     /// Ascending, like a full scan of `datanodes` (audited).
     silent: BTreeSet<NodeId>,
     /// Datanodes whose liveness is `Dead`, for O(1) `reported_live`.
     dead_datanodes: usize,
-    /// Generation counter for `datanodes`: any mutation of a datanode
-    /// record (liveness, usage, registration) bumps it, invalidating
-    /// `cand_cache`.
-    dn_epoch: u64,
-    cand_cache: CandCache,
+    /// The `Live` datanodes by site, emptiest first: what placement
+    /// draws from. Every record mutation re-files its node
+    /// ([`Namenode::refile`]), so it always equals a scan of `datanodes`.
+    index: CandidateIndex,
     /// Blocks below their replication target, bucketed by replica count.
     needs_repl: ReplQueue,
     /// In-flight replication targets per block (counted against deficit).
@@ -273,11 +259,10 @@ impl Namenode {
             files_by_path: HashMap::new(),
             files: Vec::new(),
             blocks: Vec::new(),
-            datanodes: BTreeMap::new(),
+            datanodes: NodeMap::new(),
             silent: BTreeSet::new(),
             dead_datanodes: 0,
-            dn_epoch: 1,
-            cand_cache: CandCache::default(),
+            index: CandidateIndex::new(),
             needs_repl: ReplQueue::default(),
             pending_repl: HashMap::new(),
             over_repl: BTreeSet::new(),
@@ -343,22 +328,26 @@ impl Namenode {
     // Datanode liveness
     // ------------------------------------------------------------------
 
-    /// Record that datanode state changed, invalidating the candidates
-    /// cache. Called (conservatively, even when the mutation turns out to
-    /// be a no-op) by every method that can touch a datanode record.
-    #[inline]
-    fn dn_changed(&mut self) {
-        self.dn_epoch += 1;
+    /// Re-file `node` in the candidate index from its record: a `Live`
+    /// node sits under its site at its current free space, any other is
+    /// out. Called after every change to a record's liveness or usage.
+    fn refile(&mut self, node: NodeId) {
+        let entry = self
+            .datanodes
+            .get(node)
+            .filter(|dn| dn.liveness == DnLiveness::Live)
+            .map(|dn| (dn.site, dn.free()));
+        self.index.refile(node, entry);
     }
 
-    /// A new datanode reported in (worker started).
-    pub fn register_datanode(&mut self, now: SimTime, node: NodeId) {
-        self.dn_changed();
+    /// A new datanode at `site` reported in (worker started).
+    pub fn register_datanode(&mut self, now: SimTime, node: NodeId, site: SiteId) {
         self.tracer
             .emit(|| TraceEvent::new(Layer::Hdfs, "dn_register").with("node", node.0));
-        let old = self
-            .datanodes
-            .insert(node, DatanodeInfo::new(self.cfg.datanode_capacity, now));
+        let old = self.datanodes.insert(
+            node,
+            DatanodeInfo::new(self.cfg.datanode_capacity, site, now),
+        );
         match old.map(|d| d.liveness) {
             Some(DnLiveness::Dead) => self.dead_datanodes -= 1,
             Some(DnLiveness::Silent) => {
@@ -366,17 +355,18 @@ impl Namenode {
             }
             _ => {}
         }
+        self.refile(node);
     }
 
     /// The worker vanished cleanly: heartbeats stop now; death is declared
     /// after the timeout.
     pub fn mark_silent(&mut self, now: SimTime, node: NodeId) {
-        self.dn_changed();
-        if let Some(dn) = self.datanodes.get_mut(&node) {
+        if let Some(dn) = self.datanodes.get_mut(node) {
             if dn.liveness == DnLiveness::Live {
                 dn.liveness = DnLiveness::Silent;
                 dn.last_heartbeat = now;
                 self.silent.insert(node);
+                self.index.refile(node, None);
                 self.tracer
                     .emit(|| TraceEvent::new(Layer::Hdfs, "dn_silent").with("node", node.0));
             }
@@ -386,8 +376,7 @@ impl Namenode {
     /// The worker was preempted but its daemon survived outside the killed
     /// process tree: heartbeats continue while storage is gone.
     pub fn mark_storage_failed(&mut self, node: NodeId) {
-        self.dn_changed();
-        if let Some(dn) = self.datanodes.get_mut(&node) {
+        if let Some(dn) = self.datanodes.get_mut(node) {
             dn.storage_failed = true;
             self.tracer
                 .emit(|| TraceEvent::new(Layer::Hdfs, "storage_failed").with("node", node.0));
@@ -398,7 +387,7 @@ impl Namenode {
     /// this to fail reads/writes; the namenode itself never consults it —
     /// zombies look healthy to it, which is the point of §IV-D.1.
     pub fn storage_failed(&self, node: NodeId) -> bool {
-        self.datanodes.get(&node).is_some_and(|d| d.storage_failed)
+        self.datanodes.get(node).is_some_and(|d| d.storage_failed)
     }
 
     /// Periodic tick: declare overdue silent nodes dead and dispatch
@@ -414,7 +403,7 @@ impl Namenode {
             .iter()
             .copied()
             .filter(|n| {
-                self.datanodes.get(n).is_some_and(|dn| {
+                self.datanodes.get(*n).is_some_and(|dn| {
                     now.saturating_since(dn.last_heartbeat) >= self.cfg.dead_node_timeout
                 })
             })
@@ -445,14 +434,14 @@ impl Namenode {
     }
 
     fn declare_dead(&mut self, node: NodeId) {
-        self.dn_changed();
-        let Some(dn) = self.datanodes.get_mut(&node) else {
+        let Some(dn) = self.datanodes.get_mut(node) else {
             return;
         };
         if dn.liveness != DnLiveness::Dead {
             self.dead_datanodes += 1;
         }
         self.silent.remove(&node);
+        self.index.refile(node, None);
         dn.liveness = DnLiveness::Dead;
         let hosted: Vec<BlockId> = dn.blocks.iter().copied().collect();
         dn.blocks.clear();
@@ -486,13 +475,13 @@ impl Namenode {
     /// Whether the namenode currently believes `node` usable.
     pub fn is_live(&self, node: NodeId) -> bool {
         self.datanodes
-            .get(&node)
+            .get(node)
             .is_some_and(|d| d.liveness == DnLiveness::Live)
     }
 
     /// Inspect a datanode record.
     pub fn datanode(&self, node: NodeId) -> Option<&DatanodeInfo> {
-        self.datanodes.get(&node)
+        self.datanodes.get(node)
     }
 
     // ------------------------------------------------------------------
@@ -532,9 +521,8 @@ impl Namenode {
         file: FileId,
         size: u64,
         writer: Option<NodeId>,
-        topo: &Topology,
     ) -> Option<(BlockId, Vec<NodeId>)> {
-        self.allocate_block_excluding(file, size, writer, &BTreeSet::new(), topo)
+        self.allocate_block_excluding(file, size, writer, &BTreeSet::new())
     }
 
     /// Like [`Namenode::allocate_block`], excluding datanodes the writing
@@ -547,7 +535,6 @@ impl Namenode {
         size: u64,
         writer: Option<NodeId>,
         exclude: &BTreeSet<NodeId>,
-        topo: &Topology,
     ) -> Option<(BlockId, Vec<NodeId>)> {
         let file_repl = self.files[file.0 as usize].replication;
         // With the availability policy armed, blocks are *born* at the
@@ -559,42 +546,11 @@ impl Namenode {
             Some(p) => p.birth_target(file_repl),
             None => file_repl,
         };
-        // Reuse the candidate scan across back-to-back allocations (an
-        // upload allocates one block per pipeline round-trip with no
-        // datanode churn in between). The scan is O(all datanodes) — at
-        // BENCH_scale tiers it dominates the write path without this.
-        // Taking the cache out of `self` sidesteps the borrow conflict
-        // with `self.policy`/`self.rng` below; an excluded-nodes retry is
-        // rare, so it recomputes and leaves the cache invalidated.
-        let mut cache = std::mem::take(&mut self.cand_cache);
-        let usable = exclude.is_empty() && cache.epoch == self.dn_epoch && cache.size == size;
-        if !usable {
-            cache.cands.clear();
-            cache.cands.extend(
-                self.datanodes
-                    .iter()
-                    .filter(|(n, dn)| dn.can_accept(size) && !exclude.contains(n))
-                    .map(|(&n, dn)| Candidate {
-                        node: n,
-                        site: topo.site_of(n),
-                        free: dn.free(),
-                    }),
-            );
-            if exclude.is_empty() {
-                cache.epoch = self.dn_epoch;
-                cache.size = size;
-            } else {
-                cache.epoch = 0;
-            }
-        }
-        if cache.cands.is_empty() {
-            self.cand_cache = cache;
-            return None;
-        }
+        let excluded = |n: NodeId| exclude.contains(&n);
+        let cands = self.index.view(size).excluding(&excluded);
         let targets = self
             .policy
-            .choose(writer, repl as usize, &[], &cache.cands, &mut self.rng);
-        self.cand_cache = cache;
+            .choose(writer, repl as usize, &[], &cands, &mut self.rng);
         if targets.is_empty() {
             return None;
         }
@@ -614,34 +570,12 @@ impl Namenode {
     pub fn commit_block(&mut self, block: BlockId, written: &[NodeId]) {
         let size = self.blocks[block.0 as usize].size;
         for &n in written {
-            if let Some(dn) = self.datanodes.get_mut(&n) {
+            if let Some(dn) = self.datanodes.get_mut(n) {
                 if dn.liveness != DnLiveness::Dead {
                     dn.add_block(block, size);
                     self.blocks[block.0 as usize].replicas.insert(n);
                     self.bytes_written += size;
-                }
-            }
-        }
-        // The only datanode state touched above is `used` on `written`,
-        // and only upward — no node can become newly eligible. So instead
-        // of bumping the epoch (which would invalidate the candidate cache
-        // between every allocate/commit pair of an upload, i.e. exactly
-        // where it matters), patch the cached entries in place: the result
-        // is byte-identical to a fresh scan. The cache stays node-sorted
-        // because BTreeMap iteration built it ascending and removals keep
-        // relative order.
-        if self.cand_cache.epoch == self.dn_epoch {
-            for &n in written {
-                let Ok(i) = self.cand_cache.cands.binary_search_by_key(&n, |c| c.node) else {
-                    continue;
-                };
-                match self.datanodes.get(&n) {
-                    Some(dn) if dn.can_accept(self.cand_cache.size) => {
-                        self.cand_cache.cands[i].free = dn.free();
-                    }
-                    _ => {
-                        self.cand_cache.cands.remove(i);
-                    }
+                    self.refile(n);
                 }
             }
         }
@@ -670,15 +604,15 @@ impl Namenode {
     /// file, free any partial replicas, and stop tracking it for
     /// replication. The file simply ends up shorter.
     pub fn abandon_block(&mut self, block: BlockId) {
-        self.dn_changed();
         let meta = &mut self.blocks[block.0 as usize];
         let size = meta.size;
         meta.expected = 0;
         let replicas = std::mem::take(&mut meta.replicas);
         let file = meta.file;
         for n in replicas {
-            if let Some(dn) = self.datanodes.get_mut(&n) {
+            if let Some(dn) = self.datanodes.get_mut(n) {
                 dn.remove_block(block, size);
+                self.refile(n);
             }
         }
         self.needs_repl.remove(block);
@@ -688,7 +622,6 @@ impl Namenode {
 
     /// Delete a file: every replica of every block is dropped immediately.
     pub fn delete_file(&mut self, path: &str) {
-        self.dn_changed();
         let Some(id) = self.files_by_path.remove(path) else {
             return;
         };
@@ -697,8 +630,9 @@ impl Namenode {
             let size = self.blocks[b.0 as usize].size;
             let replicas = std::mem::take(&mut self.blocks[b.0 as usize].replicas);
             for n in replicas {
-                if let Some(dn) = self.datanodes.get_mut(&n) {
+                if let Some(dn) = self.datanodes.get_mut(n) {
                     dn.remove_block(b, size);
+                    self.refile(n);
                 }
             }
             self.needs_repl.remove(b);
@@ -761,7 +695,6 @@ impl Namenode {
     /// A reader found the replica unusable (zombie node, checksum error):
     /// invalidate it and queue re-replication.
     pub fn report_bad_replica(&mut self, block: BlockId, node: NodeId) {
-        self.dn_changed();
         self.bad_replica_reports += 1;
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Hdfs, "bad_replica")
@@ -770,8 +703,9 @@ impl Namenode {
         });
         let size = self.blocks[block.0 as usize].size;
         if self.blocks[block.0 as usize].replicas.remove(&node) {
-            if let Some(dn) = self.datanodes.get_mut(&node) {
+            if let Some(dn) = self.datanodes.get_mut(node) {
                 dn.remove_block(block, size);
+                self.refile(node);
             }
             let meta = &self.blocks[block.0 as usize];
             if meta.is_missing() {
@@ -787,19 +721,6 @@ impl Namenode {
     // ------------------------------------------------------------------
     // Replication monitor
     // ------------------------------------------------------------------
-
-    /// Eligible targets for `size` more bytes, excluding `exclude`.
-    fn candidates(&self, size: u64, exclude: &BTreeSet<NodeId>, topo: &Topology) -> Vec<Candidate> {
-        self.datanodes
-            .iter()
-            .filter(|(n, dn)| dn.can_accept(size) && !exclude.contains(n))
-            .map(|(&n, dn)| Candidate {
-                node: n,
-                site: topo.site_of(n),
-                free: dn.free(),
-            })
-            .collect()
-    }
 
     /// Issue replication orders for under-replicated blocks, most-critical
     /// (fewest live replicas) first, bounded by per-node stream limits and
@@ -821,6 +742,13 @@ impl Namenode {
             self.needs_repl.iter().collect()
         };
         let avail = self.cfg.availability;
+        let max_streams = self.cfg.max_repl_streams_per_node;
+        // Availability-boosted copies (target above the birth target)
+        // exist to *survive*: they prefer stable sites.
+        let is_stable = |s: SiteId| match (avail.as_ref(), self.avail_snapshot.as_ref()) {
+            (Some(p), Some(snap)) => snap.classify(s, p) == SiteBand::Stable,
+            _ => false,
+        };
         let mut orders = Vec::new();
         // First block the order budget refused to serve; next tick's
         // fair walk resumes there.
@@ -846,17 +774,18 @@ impl Namenode {
             // The stream check goes through `get` rather than indexing:
             // a replica map entry whose datanode record vanished (a
             // registration race) must be skipped, not panic the master.
-            let srcs: Vec<NodeId> =
-                meta.replicas
-                    .iter()
-                    .copied()
-                    .filter(|n| {
-                        self.is_live(*n)
-                            && self.datanodes.get(n).is_some_and(|d| {
-                                d.repl_streams < self.cfg.max_repl_streams_per_node
-                            })
-                    })
-                    .collect();
+            let srcs: Vec<NodeId> = meta
+                .replicas
+                .iter()
+                .copied()
+                .filter(|n| {
+                    self.is_live(*n)
+                        && self
+                            .datanodes
+                            .get(*n)
+                            .is_some_and(|d| d.repl_streams < max_streams)
+                })
+                .collect();
             if srcs.is_empty() {
                 continue; // nothing usable yet; retry next tick
             }
@@ -871,39 +800,31 @@ impl Namenode {
                 let src = *self.rng.choose(&srcs);
                 let src_has_stream = self
                     .datanodes
-                    .get(&src)
-                    .is_some_and(|d| d.repl_streams < self.cfg.max_repl_streams_per_node);
+                    .get(src)
+                    .is_some_and(|d| d.repl_streams < max_streams);
                 if !src_has_stream {
                     break;
                 }
-                // Exclude existing replicas and in-flight targets.
-                let mut exclude: BTreeSet<NodeId> =
-                    self.blocks[b.0 as usize].replicas.iter().copied().collect();
-                if let Some(p) = self.pending_repl.get(&b) {
-                    exclude.extend(p.iter().copied());
+                // Existing replicas, in-flight targets and nodes out of
+                // stream budget cannot be targets.
+                let meta = &self.blocks[b.0 as usize];
+                let pending = self.pending_repl.get(&b);
+                let datanodes = &self.datanodes;
+                let excluded = |n: NodeId| {
+                    meta.replicas.contains(&n)
+                        || pending.is_some_and(|p| p.contains(&n))
+                        || datanodes
+                            .get(n)
+                            .is_some_and(|d| d.repl_streams >= max_streams)
+                };
+                let mut cands = self.index.view(size).excluding(&excluded);
+                let boosted = avail.is_some_and(|p| {
+                    meta.expected > p.birth_target(self.files[meta.file.0 as usize].replication)
+                });
+                if boosted && self.avail_snapshot.is_some() {
+                    cands = cands.prefer_sites(&is_stable);
                 }
-                let mut cands: Vec<Candidate> = self
-                    .candidates(size, &exclude, topo)
-                    .into_iter()
-                    .filter(|c| {
-                        self.datanodes
-                            .get(&c.node)
-                            .is_some_and(|d| d.repl_streams < self.cfg.max_repl_streams_per_node)
-                    })
-                    .collect();
-                // Availability-boosted copies (target above the birth
-                // target) exist to *survive*: prefer stable sites for
-                // them, falling back to the full set when none qualify.
-                if let (Some(p), Some(snap)) = (avail.as_ref(), self.avail_snapshot.as_ref()) {
-                    let meta = &self.blocks[b.0 as usize];
-                    let base = p.birth_target(self.files[meta.file.0 as usize].replication);
-                    if meta.expected > base {
-                        cands = crate::placement::stable_first(cands, |s| {
-                            snap.classify(s, p) == SiteBand::Stable
-                        });
-                    }
-                }
-                let existing: Vec<(NodeId, hog_net::SiteId)> = self.blocks[b.0 as usize]
+                let existing: Vec<(NodeId, SiteId)> = meta
                     .replicas
                     .iter()
                     .map(|&n| (n, topo.site_of(n)))
@@ -915,12 +836,12 @@ impl Namenode {
                 // Both ends were checked above, but re-fetch defensively:
                 // a missing record between scan and order skips the order
                 // instead of bringing the namenode down.
-                let Some(src_dn) = self.datanodes.get_mut(&src) else {
+                let Some(src_dn) = self.datanodes.get_mut(src) else {
                     break;
                 };
                 src_dn.repl_streams += 1;
-                let Some(dst_dn) = self.datanodes.get_mut(&dst) else {
-                    if let Some(s) = self.datanodes.get_mut(&src) {
+                let Some(dst_dn) = self.datanodes.get_mut(dst) else {
+                    if let Some(s) = self.datanodes.get_mut(src) {
                         s.repl_streams = s.repl_streams.saturating_sub(1);
                     }
                     break;
@@ -948,7 +869,6 @@ impl Namenode {
 
     /// A replication transfer finished (or failed / was killed).
     pub fn repl_done(&mut self, block: BlockId, src: NodeId, dst: NodeId, success: bool) {
-        self.dn_changed();
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Hdfs, "repl_done")
                 .with("block", block.0)
@@ -956,10 +876,10 @@ impl Namenode {
                 .with("dst", dst.0)
                 .with("ok", success)
         });
-        if let Some(dn) = self.datanodes.get_mut(&src) {
+        if let Some(dn) = self.datanodes.get_mut(src) {
             dn.repl_streams = dn.repl_streams.saturating_sub(1);
         }
-        if let Some(dn) = self.datanodes.get_mut(&dst) {
+        if let Some(dn) = self.datanodes.get_mut(dst) {
             dn.repl_streams = dn.repl_streams.saturating_sub(1);
         }
         if let Some(p) = self.pending_repl.get_mut(&block) {
@@ -980,12 +900,13 @@ impl Namenode {
                 return;
             }
             let size = self.blocks[block.0 as usize].size;
-            if let Some(dn) = self.datanodes.get_mut(&dst) {
+            if let Some(dn) = self.datanodes.get_mut(dst) {
                 if dn.liveness != DnLiveness::Dead {
                     dn.add_block(block, size);
                     self.blocks[block.0 as usize].replicas.insert(dst);
                     self.bytes_written += size;
                     self.bytes_rereplicated += size;
+                    self.refile(dst);
                 }
             }
             let meta = &self.blocks[block.0 as usize];
@@ -1119,9 +1040,9 @@ impl Namenode {
         if !self.blocks[block.0 as usize].replicas.remove(&node) {
             return;
         }
-        self.dn_changed(); // frees space → candidate cache is stale
-        if let Some(dn) = self.datanodes.get_mut(&node) {
+        if let Some(dn) = self.datanodes.get_mut(node) {
             dn.remove_block(block, size);
+            self.refile(node);
         }
         self.replicas_trimmed += 1;
         self.tracer.emit(|| {
@@ -1249,6 +1170,35 @@ impl Namenode {
         Ok(())
     }
 
+    /// The candidate index must equal a fresh scan of the datanode
+    /// records: exactly the `Live` nodes, each filed under its site at
+    /// its current free space. Returns the first difference found.
+    #[doc(hidden)]
+    pub fn debug_index_invariant(&self) -> Result<(), String> {
+        self.index.check_invariant()?;
+        let mut filed = self.index.iter();
+        for (n, dn) in self.datanodes.iter() {
+            if dn.liveness != DnLiveness::Live {
+                continue;
+            }
+            match filed.next() {
+                Some((m, entry)) if m == n && entry == (dn.site, dn.free()) => {}
+                other => {
+                    return Err(format!(
+                        "live datanode {} (site {}, free {}) but the index next holds {other:?}",
+                        n.0,
+                        dn.site.0,
+                        dn.free()
+                    ))
+                }
+            }
+        }
+        match filed.next() {
+            Some((m, _)) => Err(format!("index holds datanode {} which is not live", m.0)),
+            None => Ok(()),
+        }
+    }
+
     // ------------------------------------------------------------------
     // Queries & metrics
     // ------------------------------------------------------------------
@@ -1308,7 +1258,7 @@ impl Namenode {
 
     /// All datanodes and their records (for the balancer and reports).
     pub fn datanodes(&self) -> impl Iterator<Item = (NodeId, &DatanodeInfo)> {
-        self.datanodes.iter().map(|(&n, d)| (n, d))
+        self.datanodes.iter()
     }
 
     /// A silenced datanode resumed heartbeating (network partition healed
@@ -1316,12 +1266,12 @@ impl Namenode {
     /// once declared `Dead` the node must re-register from scratch — its
     /// blocks were already dropped and queued for re-replication.
     pub fn mark_live(&mut self, now: SimTime, node: NodeId) {
-        self.dn_changed();
-        if let Some(dn) = self.datanodes.get_mut(&node) {
+        if let Some(dn) = self.datanodes.get_mut(node) {
             if dn.liveness == DnLiveness::Silent {
                 dn.liveness = DnLiveness::Live;
                 dn.last_heartbeat = now;
                 self.silent.remove(&node);
+                self.refile(node);
                 self.tracer
                     .emit(|| TraceEvent::new(Layer::Hdfs, "dn_revived").with("node", node.0));
             }
@@ -1332,7 +1282,7 @@ impl Namenode {
     // Master failover & recovery
     // ------------------------------------------------------------------
 
-    /// A datanode (re-)introduces itself to a freshly promoted namenode
+    /// A datanode at `site` (re-)introduces itself to a freshly promoted namenode
     /// and replays its block report: the node's replica set is rebuilt
     /// from the reported truth, discarding whatever the checkpoint
     /// believed this node held. Blocks the restored namespace does not
@@ -1346,19 +1296,22 @@ impl Namenode {
         &mut self,
         now: SimTime,
         node: NodeId,
+        site: SiteId,
         report: &[BlockId],
     ) -> (usize, usize) {
-        self.dn_changed();
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Hdfs, "dn_block_report")
                 .with("node", node.0)
                 .with("blocks", report.len())
         });
-        let cap = self.cfg.datanode_capacity;
+        if self.datanodes.get(node).is_none() {
+            let fresh = DatanodeInfo::new(self.cfg.datanode_capacity, site, now);
+            self.datanodes.insert(node, fresh);
+        }
         let dn = self
             .datanodes
-            .entry(node)
-            .or_insert_with(|| DatanodeInfo::new(cap, now));
+            .get_mut(node)
+            .expect("replay_block_report: record inserted above");
         match dn.liveness {
             DnLiveness::Dead => self.dead_datanodes -= 1,
             DnLiveness::Silent => {
@@ -1383,8 +1336,8 @@ impl Namenode {
         // fields, so both can be borrowed through `self` concurrently.
         let dn = self
             .datanodes
-            .get_mut(&node)
-            .expect("replay_block_report: record was (re)inserted above");
+            .get_mut(node)
+            .expect("replay_block_report: record inserted above");
         for &b in report {
             let known =
                 (b.0 as usize) < self.blocks.len() && self.blocks[b.0 as usize].expected > 0;
@@ -1398,6 +1351,7 @@ impl Namenode {
                 orphaned += 1;
             }
         }
+        self.refile(node);
         (accepted, orphaned)
     }
 
@@ -1407,7 +1361,6 @@ impl Namenode {
     /// master), so pending targets and stream counts reset and the
     /// under-replication queue is rescanned from replica deficits.
     pub fn rebuild_replication_state(&mut self) {
-        self.dn_changed();
         self.pending_repl.clear();
         for dn in self.datanodes.values_mut() {
             dn.repl_streams = 0;
@@ -1469,7 +1422,7 @@ impl Namenode {
                 b.file.0, b.size, b.expected
             );
         }
-        for (n, dn) in &self.datanodes {
+        for (n, dn) in self.datanodes.iter() {
             let blocks: Vec<u64> = dn.blocks.iter().map(|b| b.0).collect();
             let _ = writeln!(
                 s,
@@ -1511,10 +1464,10 @@ impl Namenode {
     /// itself.
     #[doc(hidden)]
     pub fn debug_skew_used(&mut self, node: NodeId, delta: u64) {
-        self.dn_changed();
-        if let Some(dn) = self.datanodes.get_mut(&node) {
+        if let Some(dn) = self.datanodes.get_mut(node) {
             dn.used += delta;
         }
+        self.refile(node);
     }
 }
 
@@ -1526,7 +1479,7 @@ impl hog_sim_core::Auditable for Namenode {
     fn audit(&self) -> Vec<hog_sim_core::Violation> {
         use hog_sim_core::Violation;
         let mut out = Vec::new();
-        for (&n, dn) in &self.datanodes {
+        for (n, dn) in self.datanodes.iter() {
             let tallied: u64 = dn
                 .blocks
                 .iter()
@@ -1575,7 +1528,7 @@ impl hog_sim_core::Auditable for Namenode {
         }
         for (i, meta) in self.blocks.iter().enumerate() {
             for &n in &meta.replicas {
-                match self.datanodes.get(&n) {
+                match self.datanodes.get(n) {
                     None => out.push(Violation::new(
                         "hdfs",
                         format!("block {i} lists unknown datanode {}", n.0),
@@ -1600,7 +1553,7 @@ impl hog_sim_core::Auditable for Namenode {
             .datanodes
             .iter()
             .filter(|(_, dn)| dn.liveness == DnLiveness::Silent)
-            .map(|(&n, _)| n)
+            .map(|(n, _)| n)
             .collect();
         if silent_recount != self.silent {
             out.push(Violation::new(
@@ -1626,6 +1579,12 @@ impl hog_sim_core::Auditable for Namenode {
                 ),
             ));
         }
+        if let Err(e) = self.debug_index_invariant() {
+            out.push(Violation::new(
+                "hdfs",
+                format!("candidate index drifted: {e}"),
+            ));
+        }
         out
     }
 }
@@ -1647,21 +1606,15 @@ mod tests {
         }
         let mut nn = Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(11));
         for &n in &nodes {
-            nn.register_datanode(SimTime::ZERO, n);
+            nn.register_datanode(SimTime::ZERO, n, topo.site_of(n));
         }
         (nn, topo, nodes)
     }
 
-    fn write_file(
-        nn: &mut Namenode,
-        topo: &Topology,
-        path: &str,
-        blocks: usize,
-        block_size: u64,
-    ) -> FileId {
+    fn write_file(nn: &mut Namenode, path: &str, blocks: usize, block_size: u64) -> FileId {
         let f = nn.create_file_default(path);
         for _ in 0..blocks {
-            let (b, targets) = nn.allocate_block(f, block_size, None, topo).unwrap();
+            let (b, targets) = nn.allocate_block(f, block_size, None).unwrap();
             nn.commit_block(b, &targets);
         }
         nn.complete_file(f);
@@ -1672,7 +1625,7 @@ mod tests {
     fn write_and_read_round_trip() {
         let cfg = HdfsConfig::hog().with_replication(3);
         let (mut nn, topo, nodes) = setup(4, cfg);
-        let f = write_file(&mut nn, &topo, "/in/a", 5, 64 << 20);
+        let f = write_file(&mut nn, "/in/a", 5, 64 << 20);
         assert_eq!(nn.blocks_of(f).len(), 5);
         let blocks: Vec<BlockId> = nn.blocks_of(f).to_vec();
         for b in blocks {
@@ -1687,7 +1640,7 @@ mod tests {
     fn read_prefers_local_then_site() {
         let cfg = HdfsConfig::hog().with_replication(3);
         let (mut nn, topo, nodes) = setup(4, cfg);
-        let f = write_file(&mut nn, &topo, "/in/a", 1, 1024);
+        let f = write_file(&mut nn, "/in/a", 1, 1024);
         let b = nn.blocks_of(f)[0];
         let holder = *nn.block(b).replicas.iter().next().unwrap();
         // Local read.
@@ -1714,7 +1667,7 @@ mod tests {
     fn silent_nodes_die_after_timeout_and_rereplication_kicks_in() {
         let cfg = HdfsConfig::hog().with_replication(3);
         let (mut nn, topo, nodes) = setup(4, cfg);
-        let f = write_file(&mut nn, &topo, "/in/a", 4, 64 << 20);
+        let f = write_file(&mut nn, "/in/a", 4, 64 << 20);
         let victim = *nn.block(nn.blocks_of(f)[0]).replicas.iter().next().unwrap();
         nn.mark_silent(SimTime::from_secs(100), victim);
         // Before the timeout nothing happens.
@@ -1751,7 +1704,7 @@ mod tests {
     fn stock_timeout_is_slow() {
         let cfg = HdfsConfig::stock();
         let (mut nn, topo, _) = setup(4, cfg);
-        let f = write_file(&mut nn, &topo, "/in/a", 1, 1024);
+        let f = write_file(&mut nn, "/in/a", 1, 1024);
         let victim = *nn.block(nn.blocks_of(f)[0]).replicas.iter().next().unwrap();
         nn.mark_silent(SimTime::from_secs(0), victim);
         let out = nn.tick(SimTime::from_secs(600), &topo);
@@ -1764,7 +1717,7 @@ mod tests {
     fn losing_all_replicas_counts_missing_blocks() {
         let cfg = HdfsConfig::hog().with_replication(2);
         let (mut nn, topo, _) = setup(1, cfg); // 3 nodes total
-        let f = write_file(&mut nn, &topo, "/in/a", 2, 1024);
+        let f = write_file(&mut nn, "/in/a", 2, 1024);
         let holders: Vec<NodeId> = nn
             .block(nn.blocks_of(f)[0])
             .replicas
@@ -1784,7 +1737,7 @@ mod tests {
     fn zombie_keeps_reporting_but_reads_fail_and_heal() {
         let cfg = HdfsConfig::hog().with_replication(3);
         let (mut nn, topo, nodes) = setup(4, cfg);
-        let f = write_file(&mut nn, &topo, "/in/a", 1, 1024);
+        let f = write_file(&mut nn, "/in/a", 1, 1024);
         let b = nn.blocks_of(f)[0];
         let zombie = *nn.block(b).replicas.iter().next().unwrap();
         nn.mark_storage_failed(zombie);
@@ -1812,7 +1765,7 @@ mod tests {
         let cfg = HdfsConfig::hog().with_replication(3);
         let (mut nn, topo, _) = setup(4, cfg);
         let f = nn.create_file_default("/in/a");
-        let (b, targets) = nn.allocate_block(f, 1024, None, &topo).unwrap();
+        let (b, targets) = nn.allocate_block(f, 1024, None).unwrap();
         assert_eq!(targets.len(), 3);
         nn.commit_block(b, &targets[..2]); // one pipeline member failed
         assert_eq!(nn.under_replicated_count(), 1);
@@ -1823,8 +1776,8 @@ mod tests {
     #[test]
     fn delete_file_frees_space_and_cancels_repair() {
         let cfg = HdfsConfig::hog().with_replication(3);
-        let (mut nn, topo, _) = setup(4, cfg);
-        write_file(&mut nn, &topo, "/in/a", 3, 1 << 20);
+        let (mut nn, _, _) = setup(4, cfg);
+        write_file(&mut nn, "/in/a", 3, 1 << 20);
         assert!(nn.total_used() > 0);
         nn.delete_file("/in/a");
         assert_eq!(nn.total_used(), 0);
@@ -1835,13 +1788,34 @@ mod tests {
     #[test]
     fn allocation_fails_gracefully_when_full() {
         let cfg = HdfsConfig::hog().with_replication(3).with_capacity(1000);
-        let (mut nn, topo, _) = setup(1, cfg);
+        let (mut nn, _, _) = setup(1, cfg);
         let f = nn.create_file_default("/big");
         // First block fits.
-        let (b, t) = nn.allocate_block(f, 900, None, &topo).unwrap();
+        let (b, t) = nn.allocate_block(f, 900, None).unwrap();
         nn.commit_block(b, &t);
         // Second cannot (nodes have ≤100 free).
-        assert!(nn.allocate_block(f, 900, None, &topo).is_none());
+        assert!(nn.allocate_block(f, 900, None).is_none());
+    }
+
+    #[test]
+    fn only_live_datanodes_are_targets() {
+        let cfg = HdfsConfig::hog().with_replication(3);
+        let (mut nn, _, nodes) = setup(2, cfg);
+        nn.mark_silent(SimTime::from_secs(1), nodes[0]);
+        nn.mark_storage_failed(nodes[1]); // a zombie still looks healthy
+        let f = nn.create_file_default("/x");
+        let mut zombie_targets = 0;
+        for _ in 0..20 {
+            let (b, t) = nn.allocate_block(f, 1024, None).unwrap();
+            assert!(!t.contains(&nodes[0]), "silent node chosen: {t:?}");
+            zombie_targets += usize::from(t.contains(&nodes[1]));
+            nn.commit_block(b, &t);
+        }
+        assert!(zombie_targets > 0);
+        nn.mark_live(SimTime::from_secs(2), nodes[0]);
+        let (_, t) = nn.allocate_block(f, 1024, None).unwrap();
+        assert!(t.contains(&nodes[0]), "the emptiest node is back: {t:?}");
+        assert!(nn.debug_index_invariant().is_ok());
     }
 
     #[test]
@@ -1850,7 +1824,7 @@ mod tests {
         cfg.max_repl_streams_per_node = 1;
         cfg.max_repl_orders_per_tick = 1000;
         let (mut nn, topo, _) = setup(6, cfg);
-        write_file(&mut nn, &topo, "/in/a", 12, 1 << 20);
+        write_file(&mut nn, "/in/a", 12, 1 << 20);
         // Kill one replica holder of many blocks.
         let victim = nn
             .datanodes()
@@ -1872,8 +1846,8 @@ mod tests {
     fn deterministic_given_seed() {
         let run = || {
             let cfg = HdfsConfig::hog().with_replication(5);
-            let (mut nn, topo, _) = setup(4, cfg);
-            let f = write_file(&mut nn, &topo, "/in/a", 6, 1 << 20);
+            let (mut nn, _, _) = setup(4, cfg);
+            let f = write_file(&mut nn, "/in/a", 6, 1 << 20);
             nn.blocks_of(f)
                 .iter()
                 .map(|&b| format!("{:?}", nn.block(b).replicas))
@@ -1916,10 +1890,10 @@ mod tests {
             }
             let (mut nn, topo, _) = setup(4, cfg);
             let fa = nn.create_file_default("/a");
-            let (ba, ta) = nn.allocate_block(fa, 1024, None, &topo).unwrap();
+            let (ba, ta) = nn.allocate_block(fa, 1024, None).unwrap();
             nn.commit_block(ba, &ta[..1]); // bucket 1
             let fb = nn.create_file_default("/b");
-            let (bb, tb) = nn.allocate_block(fb, 1024, None, &topo).unwrap();
+            let (bb, tb) = nn.allocate_block(fb, 1024, None).unwrap();
             nn.commit_block(bb, &tb[..2]); // bucket 2
             let mut served = Vec::new();
             for i in 0..6 {
@@ -1949,7 +1923,7 @@ mod tests {
     fn delete_mid_replication_scan_does_not_resurrect_replicas() {
         let cfg = HdfsConfig::hog().with_replication(3);
         let (mut nn, topo, _) = setup(4, cfg);
-        let f = write_file(&mut nn, &topo, "/in/a", 3, 1 << 20);
+        let f = write_file(&mut nn, "/in/a", 3, 1 << 20);
         let victim = *nn.block(nn.blocks_of(f)[0]).replicas.iter().next().unwrap();
         nn.mark_silent(SimTime::ZERO, victim);
         let out = nn.tick(SimTime::from_secs(31), &topo);
@@ -1972,8 +1946,8 @@ mod tests {
     fn armed_policy_births_blocks_at_birth_target() {
         use crate::availability::AvailabilityPolicy;
         let cfg = HdfsConfig::hog().with_availability(AvailabilityPolicy::trua_default());
-        let (mut nn, topo, _) = setup(4, cfg); // file repl 10, birth 6
-        let f = write_file(&mut nn, &topo, "/in/a", 1, 1 << 20);
+        let (mut nn, _, _) = setup(4, cfg); // file repl 10, birth 6
+        let f = write_file(&mut nn, "/in/a", 1, 1 << 20);
         let b = nn.blocks_of(f)[0];
         assert_eq!(nn.block(b).expected, 6);
         assert_eq!(nn.block(b).replicas.len(), 6);
@@ -1987,7 +1961,7 @@ mod tests {
             .with_replication(6)
             .with_availability(AvailabilityPolicy::trua_default());
         let (mut nn, topo, _) = setup(4, cfg);
-        let f = write_file(&mut nn, &topo, "/in/a", 2, 1 << 20);
+        let f = write_file(&mut nn, "/in/a", 2, 1 << 20);
         let b = nn.blocks_of(f)[0];
         assert_eq!(nn.block(b).replicas.len(), 6);
         nn.set_block_replication(b, 4);
@@ -2005,7 +1979,7 @@ mod tests {
         use crate::availability::{AvailabilityPolicy, AvailabilitySnapshot, SiteRisk};
         let cfg = HdfsConfig::hog().with_availability(AvailabilityPolicy::trua_default());
         let (mut nn, topo, nodes) = setup(4, cfg);
-        let f = write_file(&mut nn, &topo, "/in/a", 2, 1 << 20);
+        let f = write_file(&mut nn, "/in/a", 2, 1 << 20);
         let (hot, cold) = (nn.blocks_of(f)[0], nn.blocks_of(f)[1]);
         for _ in 0..3 {
             nn.pick_read_source(hot, nodes[0], &topo);
@@ -2046,7 +2020,7 @@ mod tests {
     fn reads_not_counted_without_policy() {
         let cfg = HdfsConfig::hog().with_replication(3);
         let (mut nn, topo, nodes) = setup(4, cfg);
-        let f = write_file(&mut nn, &topo, "/in/a", 1, 1024);
+        let f = write_file(&mut nn, "/in/a", 1, 1024);
         let b = nn.blocks_of(f)[0];
         nn.pick_read_source(b, nodes[0], &topo);
         assert_eq!(nn.read_count(), 0);
@@ -2072,7 +2046,7 @@ mod tests {
                     .with_replication(3)
                     .with_availability(AvailabilityPolicy::trua_default());
                 let (mut nn, topo, _) = setup(4, cfg);
-                let f = write_file(&mut nn, &topo, "/in/a", 6, 1 << 20);
+                let f = write_file(&mut nn, "/in/a", 6, 1 << 20);
                 let blocks: Vec<BlockId> = nn.blocks_of(f).to_vec();
                 let mut t = 0u64;
                 for (op, bi, r) in ops {
@@ -2101,6 +2075,9 @@ mod tests {
                     if let Err(e) = nn.debug_queue_invariant() {
                         prop_assert!(false, "queue invariant broken: {e}");
                     }
+                    if let Err(e) = nn.debug_index_invariant() {
+                        prop_assert!(false, "candidate index broken: {e}");
+                    }
                 }
                 // Lowering every target must eventually clear all excess.
                 for &b in &blocks {
@@ -2119,6 +2096,9 @@ mod tests {
                 }
                 if let Err(e) = nn.debug_queue_invariant() {
                     prop_assert!(false, "queue invariant broken after drain: {e}");
+                }
+                if let Err(e) = nn.debug_index_invariant() {
+                    prop_assert!(false, "candidate index broken after drain: {e}");
                 }
             }
         }

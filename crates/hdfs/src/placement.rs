@@ -14,12 +14,18 @@
 //!   where racks are the failure domain.
 //! * [`RackObliviousPolicy`] — uniform random placement, the ablation
 //!   baseline showing what site awareness buys (experiment X7).
+//!
+//! Policies draw from [`Candidates`], a view of the namenode's
+//! [`CandidateIndex`] (live datanodes by site, emptiest first), so a
+//! site-aware pick never scans the datanode records.
 
-use hog_net::{NodeId, SiteId};
+use hog_net::{NodeId, NodeMap, SiteId};
 use hog_sim_core::SimRng;
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 
 /// A datanode eligible to receive a replica.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Candidate {
     /// The node.
     pub node: NodeId,
@@ -29,9 +35,191 @@ pub struct Candidate {
     pub free: u64,
 }
 
+/// The namenode's placement index: every `Live` datanode, grouped by
+/// site and ordered inside a site by `(free desc, NodeId asc)`. The
+/// namenode re-files a node whenever its liveness or usage changes, so
+/// the index is always current and a placement reads the emptiest nodes
+/// of a site off its front instead of scanning every datanode record.
+/// A zombie stays `Live`, so it stays filed: its heartbeats look healthy
+/// and the namenode finds out when the write fails.
+#[derive(Clone, Debug, Default)]
+pub struct CandidateIndex {
+    by_site: Vec<BTreeSet<(Reverse<u64>, NodeId)>>,
+    /// Where each filed node sits: its site and the free bytes it is
+    /// filed under.
+    filed: NodeMap<(SiteId, u64)>,
+}
+
+impl CandidateIndex {
+    /// An empty index.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// File `node` under `(site, free)`, or take it out with `None`.
+    pub fn refile(&mut self, node: NodeId, entry: Option<(SiteId, u64)>) {
+        let old = self.filed.get(node).copied();
+        if old == entry {
+            return;
+        }
+        if let Some((site, free)) = old {
+            self.by_site[site.0 as usize].remove(&(Reverse(free), node));
+            self.filed.remove(node);
+        }
+        if let Some((site, free)) = entry {
+            let s = site.0 as usize;
+            if self.by_site.len() <= s {
+                self.by_site.resize_with(s + 1, BTreeSet::new);
+            }
+            self.by_site[s].insert((Reverse(free), node));
+            self.filed.insert(node, (site, free));
+        }
+    }
+
+    /// The filed nodes with their `(site, free)`, ascending by id.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, (SiteId, u64))> + '_ {
+        self.filed.iter().map(|(n, &e)| (n, e))
+    }
+
+    /// The candidates for a block of `size` bytes: filed nodes with at
+    /// least that much free space, nothing excluded yet.
+    pub fn view(&self, size: u64) -> Candidates<'_> {
+        Candidates {
+            index: self,
+            size,
+            excluded: &no_node,
+            site_ok: &any_site,
+        }
+    }
+
+    /// Structural check: the per-site sets hold exactly the filed
+    /// entries. Returns the first violation found.
+    pub(crate) fn check_invariant(&self) -> Result<(), String> {
+        let mut members = 0;
+        for (s, set) in self.by_site.iter().enumerate() {
+            members += set.len();
+            for &(Reverse(free), n) in set {
+                if self.filed.get(n) != Some(&(SiteId(s as u16), free)) {
+                    return Err(format!(
+                        "node {} in site {s} at free {free} but filed as {:?}",
+                        n.0,
+                        self.filed.get(n)
+                    ));
+                }
+            }
+        }
+        if members != self.filed.len() {
+            return Err(format!(
+                "{} nodes filed but the sites hold {members}",
+                self.filed.len()
+            ));
+        }
+        Ok(())
+    }
+}
+
+fn no_node(_: NodeId) -> bool {
+    false
+}
+
+fn any_site(_: SiteId) -> bool {
+    true
+}
+
+/// A read-only view of a [`CandidateIndex`] for one placement: the
+/// filed nodes with room for `size` bytes, on allowed sites, minus an
+/// exclusion check (the block's replicas, in-flight targets, nodes a
+/// client saw fail, stream-saturated sources).
+#[derive(Clone, Copy)]
+pub struct Candidates<'a> {
+    index: &'a CandidateIndex,
+    size: u64,
+    excluded: &'a dyn Fn(NodeId) -> bool,
+    site_ok: &'a dyn Fn(SiteId) -> bool,
+}
+
+impl<'a> Candidates<'a> {
+    /// This view with `excluded` as its node exclusion check (replacing
+    /// any earlier one).
+    pub fn excluding(self, excluded: &'a dyn Fn(NodeId) -> bool) -> Self {
+        Candidates { excluded, ..self }
+    }
+
+    /// This view restricted to the sites `site_ok` accepts (replacing
+    /// any earlier site filter).
+    pub fn in_sites(self, site_ok: &'a dyn Fn(SiteId) -> bool) -> Self {
+        Candidates { site_ok, ..self }
+    }
+
+    /// [`Candidates::in_sites`] when any accepted site holds a candidate,
+    /// else this view unchanged. Availability-boosted copies use it to
+    /// prefer stable sites: an extra copy parked on a churn-prone site
+    /// would be preempted before it earns its bytes, but durability
+    /// comes before placement preference.
+    pub fn prefer_sites(self, site_ok: &'a dyn Fn(SiteId) -> bool) -> Self {
+        let narrowed = self.in_sites(site_ok);
+        if narrowed.is_empty() {
+            self
+        } else {
+            narrowed
+        }
+    }
+
+    /// Whether the exclusion check rules `node` out.
+    pub fn is_excluded(&self, node: NodeId) -> bool {
+        (self.excluded)(node)
+    }
+
+    /// Whether the site filter accepts `site`.
+    pub fn allows_site(&self, site: SiteId) -> bool {
+        (self.site_ok)(site)
+    }
+
+    /// `node` as a candidate, if it is one.
+    pub fn get(&self, node: NodeId) -> Option<Candidate> {
+        let &(site, free) = self.index.filed.get(node)?;
+        (free >= self.size && self.allows_site(site) && !self.is_excluded(node))
+            .then_some(Candidate { node, site, free })
+    }
+
+    /// One past the largest site id the index has filed a node under.
+    pub fn site_slots(&self) -> usize {
+        self.index.by_site.len()
+    }
+
+    /// The candidates on `site`, emptiest first, ascending id among equal
+    /// free space.
+    pub fn in_site(&self, site: SiteId) -> impl Iterator<Item = Candidate> + '_ {
+        let set = match self.index.by_site.get(site.0 as usize) {
+            Some(set) if self.allows_site(site) => Some(set),
+            _ => None,
+        };
+        set.into_iter()
+            .flatten()
+            .take_while(|&&(Reverse(free), _)| free >= self.size)
+            .filter(|&&(_, node)| !self.is_excluded(node))
+            .map(move |&(Reverse(free), node)| Candidate { node, site, free })
+    }
+
+    /// Whether no node is a candidate.
+    pub fn is_empty(&self) -> bool {
+        (0..self.site_slots()).all(|s| self.in_site(SiteId(s as u16)).next().is_none())
+    }
+
+    /// Every candidate in ascending node order: the slice the
+    /// rack-aware and rack-oblivious ablations draw from.
+    pub fn to_vec(&self) -> Vec<Candidate> {
+        let mut all: Vec<Candidate> = (0..self.site_slots())
+            .flat_map(|s| self.in_site(SiteId(s as u16)))
+            .collect();
+        all.sort_unstable_by_key(|c| c.node);
+        all
+    }
+}
+
 /// A replica-target chooser. Implementations must return distinct nodes
-/// drawn from `candidates` (never one listed in `existing`), at most `n`
-/// of them; fewer when the cluster cannot satisfy the request.
+/// drawn from `candidates`, at most `n` of them; fewer when the cluster
+/// cannot satisfy the request.
 pub trait PlacementPolicy: Send {
     /// Human-readable policy name (report labelling).
     fn name(&self) -> &'static str;
@@ -42,14 +230,14 @@ pub trait PlacementPolicy: Send {
     ///   any (map outputs written to HDFS, or a datanode-local upload).
     /// * `existing` — `(node, site)` of current replicas (non-empty for
     ///   re-replication).
-    /// * `candidates` — eligible datanodes (live, storage OK, enough free
-    ///   space); never contains nodes from `existing`.
+    /// * `candidates` — eligible datanodes (live, enough free space, not
+    ///   excluded); never contains nodes from `existing`.
     fn choose(
         &self,
         writer: Option<NodeId>,
         n: usize,
         existing: &[(NodeId, SiteId)],
-        candidates: &[Candidate],
+        candidates: &Candidates<'_>,
         rng: &mut SimRng,
     ) -> Vec<NodeId>;
 
@@ -78,81 +266,73 @@ impl PlacementPolicy for SiteAwarePolicy {
         writer: Option<NodeId>,
         n: usize,
         existing: &[(NodeId, SiteId)],
-        candidates: &[Candidate],
+        candidates: &Candidates<'_>,
         rng: &mut SimRng,
     ) -> Vec<NodeId> {
         let mut chosen: Vec<NodeId> = Vec::with_capacity(n);
-        if n == 0 || candidates.is_empty() {
+        if n == 0 {
             return chosen;
         }
         // This runs on every block allocation with n = the replication
-        // factor (10 under the HOG preset), so it stays allocation-lean:
-        // a `taken` bitmap plus dense per-site replica counts replace the
-        // per-replica bucketing-into-HashMap-and-sort formulation. Every
-        // selection below is the unique minimum of a total order, so the
-        // chosen pipeline is identical to what that code produced.
-        let max_site = candidates
+        // factor (10 under the HOG preset), so it reads the index instead
+        // of scanning: a pick costs O(sites + ties). Every selection
+        // below is the unique minimum of a total order, so the pipeline
+        // is the one a scan of every candidate would choose.
+        let slots = existing
             .iter()
-            .map(|c| c.site.0)
-            .chain(existing.iter().map(|&(_, s)| s.0))
-            .max()
-            .unwrap_or(0) as usize;
-        let mut site_count = vec![0u32; max_site + 1];
+            .map(|&(_, s)| s.0 as usize + 1)
+            .fold(candidates.site_slots(), usize::max);
+        let mut site_count = vec![0u32; slots];
         for &(_, s) in existing {
             site_count[s.0 as usize] += 1;
         }
-        let mut taken = vec![false; candidates.len()];
         // First replica: data locality — the writer's own datanode, when
         // it is a candidate and this is a fresh write.
         if existing.is_empty() {
-            if let Some(w) = writer {
-                if let Some(i) = candidates.iter().position(|c| c.node == w) {
-                    chosen.push(w);
-                    taken[i] = true;
-                    site_count[candidates[i].site.0 as usize] += 1;
-                }
+            if let Some(c) = writer.and_then(|w| candidates.get(w)) {
+                chosen.push(c.node);
+                site_count[c.site.0 as usize] += 1;
             }
         }
-        let mut ties: Vec<usize> = Vec::new();
+        // Sites still holding an unchosen candidate. Only a pick can
+        // close a site, so after a pick only its site is re-checked.
+        let open = |site: SiteId, chosen: &[NodeId]| {
+            candidates.in_site(site).any(|c| !chosen.contains(&c.node))
+        };
+        let mut is_open: Vec<bool> = (0..candidates.site_slots())
+            .map(|s| open(SiteId(s as u16), &chosen))
+            .collect();
+        let mut ties: Vec<NodeId> = Vec::new();
         while chosen.len() < n {
-            // Pick the site with the fewest replicas so far; break count
-            // ties by site id for determinism. Only sites that still have
-            // an unchosen candidate qualify.
-            let mut best: Option<(u32, SiteId)> = None;
-            for (i, c) in candidates.iter().enumerate() {
-                if taken[i] {
-                    continue;
-                }
-                let key = (site_count[c.site.0 as usize], c.site);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-            let Some((_, site)) = best else { break };
+            // Pick the open site with the fewest replicas so far; break
+            // count ties by site id for determinism.
+            let Some((_, s)) = (0..is_open.len())
+                .filter(|&s| is_open[s])
+                .map(|s| (site_count[s], s))
+                .min()
+            else {
+                break;
+            };
+            let site = SiteId(s as u16);
             // Inside the site prefer the emptiest node, tie-broken
-            // randomly (via node id shuffle under the run rng). Ties are
-            // ordered by ascending node id — what a stable sort by
-            // `(Reverse(free), node)` yields — so the draw below lands on
-            // the same node the sort-based code picked.
-            let mut top_free = 0u64;
+            // randomly under the run rng. The site is ordered by
+            // `(free desc, node asc)`, so the ties are its front run in
+            // ascending node id, the order the draw indexes.
             ties.clear();
-            for (i, c) in candidates.iter().enumerate() {
-                if taken[i] || c.site != site {
-                    continue;
+            let mut top_free = 0;
+            for c in candidates
+                .in_site(site)
+                .filter(|c| !chosen.contains(&c.node))
+            {
+                if !ties.is_empty() && c.free < top_free {
+                    break;
                 }
-                if ties.is_empty() || c.free > top_free {
-                    top_free = c.free;
-                    ties.clear();
-                    ties.push(i);
-                } else if c.free == top_free {
-                    ties.push(i);
-                }
+                top_free = c.free;
+                ties.push(c.node);
             }
-            ties.sort_unstable_by_key(|&i| candidates[i].node);
-            let pick = ties[rng.index(ties.len())];
-            taken[pick] = true;
-            site_count[site.0 as usize] += 1;
-            chosen.push(candidates[pick].node);
+            chosen.push(ties[rng.index(ties.len())]);
+            site_count[s] += 1;
+            is_open[s] = open(site, &chosen);
         }
         chosen
     }
@@ -176,9 +356,10 @@ impl PlacementPolicy for RackAwarePolicy {
         writer: Option<NodeId>,
         n: usize,
         existing: &[(NodeId, SiteId)],
-        candidates: &[Candidate],
+        candidates: &Candidates<'_>,
         rng: &mut SimRng,
     ) -> Vec<NodeId> {
+        let candidates = candidates.to_vec();
         let mut chosen: Vec<NodeId> = Vec::with_capacity(n);
         let mut remaining: Vec<&Candidate> = candidates.iter().collect();
         let site_of = |node: NodeId, cands: &[Candidate]| {
@@ -215,7 +396,7 @@ impl PlacementPolicy for RackAwarePolicy {
         if chosen.len() < n {
             let first_site = chosen
                 .first()
-                .and_then(|&f| site_of(f, candidates))
+                .and_then(|&f| site_of(f, &candidates))
                 .or_else(|| existing.first().map(|&(_, s)| s));
             let second = match first_site {
                 Some(fs) => take(&|c: &Candidate| c.site != fs, &mut remaining, rng)
@@ -228,7 +409,7 @@ impl PlacementPolicy for RackAwarePolicy {
         }
         // Replica 3: same rack as replica 2, different node.
         if chosen.len() < n {
-            let second_site = chosen.last().and_then(|&s| site_of(s, candidates));
+            let second_site = chosen.last().and_then(|&s| site_of(s, &candidates));
             let third = match second_site {
                 Some(ss) => take(&|c: &Candidate| c.site == ss, &mut remaining, rng)
                     .or_else(|| take(&|_| true, &mut remaining, rng)),
@@ -275,7 +456,7 @@ impl PlacementPolicy for AnchorFirstPolicy {
         writer: Option<NodeId>,
         n: usize,
         existing: &[(NodeId, SiteId)],
-        candidates: &[Candidate],
+        candidates: &Candidates<'_>,
         rng: &mut SimRng,
     ) -> Vec<NodeId> {
         if n == 0 || candidates.is_empty() {
@@ -285,25 +466,18 @@ impl PlacementPolicy for AnchorFirstPolicy {
         let anchor_has_replica = existing.iter().any(|&(_, s)| s == self.anchor);
         if !anchor_has_replica {
             // Pin one replica to the emptiest anchor node.
-            let mut anchors: Vec<&Candidate> = candidates
-                .iter()
-                .filter(|c| c.site == self.anchor)
-                .collect();
-            anchors.sort_by_key(|c| (std::cmp::Reverse(c.free), c.node));
-            if let Some(a) = anchors.first() {
+            if let Some(a) = candidates.in_site(self.anchor).next() {
                 chosen.push(a.node);
             }
         }
         // Remaining replicas: site-aware spread over non-anchor nodes.
-        let rest: Vec<Candidate> = candidates
-            .iter()
-            .filter(|c| c.site != self.anchor && !chosen.contains(&c.node))
-            .copied()
-            .collect();
         let mut existing_rest: Vec<(NodeId, SiteId)> = existing.to_vec();
         for &c in &chosen {
             existing_rest.push((c, self.anchor));
         }
+        let off_anchor = |s: SiteId| s != self.anchor && candidates.allows_site(s);
+        let untaken = |node: NodeId| candidates.is_excluded(node) || chosen.contains(&node);
+        let rest = candidates.in_sites(&off_anchor).excluding(&untaken);
         let more = SiteAwarePolicy.choose(
             writer,
             n.saturating_sub(chosen.len()),
@@ -335,10 +509,10 @@ impl PlacementPolicy for RackObliviousPolicy {
         _writer: Option<NodeId>,
         n: usize,
         _existing: &[(NodeId, SiteId)],
-        candidates: &[Candidate],
+        candidates: &Candidates<'_>,
         rng: &mut SimRng,
     ) -> Vec<NodeId> {
-        let mut pool: Vec<NodeId> = candidates.iter().map(|c| c.node).collect();
+        let mut pool: Vec<NodeId> = candidates.to_vec().iter().map(|c| c.node).collect();
         rng.shuffle(&mut pool);
         pool.truncate(n);
         pool
@@ -346,27 +520,6 @@ impl PlacementPolicy for RackObliviousPolicy {
 
     fn box_clone(&self) -> Box<dyn PlacementPolicy> {
         Box::new(*self)
-    }
-}
-
-/// Restrict `candidates` to stable sites when placing availability-
-/// boosted *extra* copies (Trua-style targets above the birth target):
-/// an extra copy parked on a churn-prone site would be preempted before
-/// it earns its bytes. Falls back to the full set when no candidate
-/// sits on a stable site — durability first, placement preference
-/// second. Relative candidate order is preserved, so downstream policy
-/// choices stay deterministic.
-pub fn stable_first<F: Fn(SiteId) -> bool>(
-    candidates: Vec<Candidate>,
-    is_stable: F,
-) -> Vec<Candidate> {
-    if candidates.iter().any(|c| is_stable(c.site)) {
-        candidates
-            .into_iter()
-            .filter(|c| is_stable(c.site))
-            .collect()
-    } else {
-        candidates
     }
 }
 
@@ -386,6 +539,27 @@ mod tests {
             .collect()
     }
 
+    /// An index filing exactly `cands`.
+    fn index_of(cands: &[Candidate]) -> CandidateIndex {
+        let mut index = CandidateIndex::new();
+        for c in cands {
+            index.refile(c.node, Some((c.site, c.free)));
+        }
+        index
+    }
+
+    /// `policy.choose` over an index holding exactly `cands`.
+    fn choose(
+        policy: &dyn PlacementPolicy,
+        writer: Option<NodeId>,
+        n: usize,
+        existing: &[(NodeId, SiteId)],
+        cands: &[Candidate],
+        rng: &mut SimRng,
+    ) -> Vec<NodeId> {
+        policy.choose(writer, n, existing, &index_of(cands).view(0), rng)
+    }
+
     fn sites_of(chosen: &[NodeId], cands: &[Candidate]) -> Vec<SiteId> {
         chosen
             .iter()
@@ -393,11 +567,80 @@ mod tests {
             .collect()
     }
 
+    /// The slice-scanning site-aware policy the index replaced, kept as
+    /// the oracle the index-backed one must match draw for draw.
+    fn site_aware_oracle(
+        writer: Option<NodeId>,
+        n: usize,
+        existing: &[(NodeId, SiteId)],
+        candidates: &[Candidate],
+        rng: &mut SimRng,
+    ) -> Vec<NodeId> {
+        let mut chosen: Vec<NodeId> = Vec::with_capacity(n);
+        if n == 0 || candidates.is_empty() {
+            return chosen;
+        }
+        let max_site = candidates
+            .iter()
+            .map(|c| c.site.0)
+            .chain(existing.iter().map(|&(_, s)| s.0))
+            .max()
+            .unwrap_or(0) as usize;
+        let mut site_count = vec![0u32; max_site + 1];
+        for &(_, s) in existing {
+            site_count[s.0 as usize] += 1;
+        }
+        let mut taken = vec![false; candidates.len()];
+        if existing.is_empty() {
+            if let Some(w) = writer {
+                if let Some(i) = candidates.iter().position(|c| c.node == w) {
+                    chosen.push(w);
+                    taken[i] = true;
+                    site_count[candidates[i].site.0 as usize] += 1;
+                }
+            }
+        }
+        let mut ties: Vec<usize> = Vec::new();
+        while chosen.len() < n {
+            let mut best: Option<(u32, SiteId)> = None;
+            for (i, c) in candidates.iter().enumerate() {
+                if taken[i] {
+                    continue;
+                }
+                let key = (site_count[c.site.0 as usize], c.site);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
+            }
+            let Some((_, site)) = best else { break };
+            let mut top_free = 0u64;
+            ties.clear();
+            for (i, c) in candidates.iter().enumerate() {
+                if taken[i] || c.site != site {
+                    continue;
+                }
+                if ties.is_empty() || c.free > top_free {
+                    top_free = c.free;
+                    ties.clear();
+                    ties.push(i);
+                } else if c.free == top_free {
+                    ties.push(i);
+                }
+            }
+            ties.sort_unstable_by_key(|&i| candidates[i].node);
+            let pick = ties[rng.index(ties.len())];
+            taken[pick] = true;
+            site_count[site.0 as usize] += 1;
+            chosen.push(candidates[pick].node);
+        }
+        chosen
+    }
+
     #[test]
     fn site_aware_prefers_writer_first() {
         let cands = cluster(20, 5);
         let mut rng = SimRng::seed_from_u64(1);
-        let chosen = SiteAwarePolicy.choose(Some(NodeId(7)), 3, &[], &cands, &mut rng);
+        let chosen = choose(&SiteAwarePolicy, Some(NodeId(7)), 3, &[], &cands, &mut rng);
         assert_eq!(chosen[0], NodeId(7));
         assert_eq!(chosen.len(), 3);
     }
@@ -406,7 +649,7 @@ mod tests {
     fn site_aware_spreads_across_sites() {
         let cands = cluster(25, 5);
         let mut rng = SimRng::seed_from_u64(2);
-        let chosen = SiteAwarePolicy.choose(None, 5, &[], &cands, &mut rng);
+        let chosen = choose(&SiteAwarePolicy, None, 5, &[], &cands, &mut rng);
         let mut sites = sites_of(&chosen, &cands);
         sites.sort();
         sites.dedup();
@@ -418,7 +661,7 @@ mod tests {
         // Replication 10 over 5 sites: exactly 2 per site.
         let cands = cluster(50, 5);
         let mut rng = SimRng::seed_from_u64(3);
-        let chosen = SiteAwarePolicy.choose(None, 10, &[], &cands, &mut rng);
+        let chosen = choose(&SiteAwarePolicy, None, 10, &[], &cands, &mut rng);
         assert_eq!(chosen.len(), 10);
         let sites = sites_of(&chosen, &cands);
         for s in 0..5u16 {
@@ -440,7 +683,7 @@ mod tests {
             (NodeId(101), SiteId(1)),
         ];
         let mut rng = SimRng::seed_from_u64(4);
-        let chosen = SiteAwarePolicy.choose(None, 2, &existing, &cands, &mut rng);
+        let chosen = choose(&SiteAwarePolicy, None, 2, &existing, &cands, &mut rng);
         let sites = sites_of(&chosen, &cands);
         assert!(sites.contains(&SiteId(2)));
         assert!(sites.contains(&SiteId(3)));
@@ -453,7 +696,7 @@ mod tests {
             c.free = (i as u64) * 100; // node 9 is emptiest
         }
         let mut rng = SimRng::seed_from_u64(5);
-        let chosen = SiteAwarePolicy.choose(None, 1, &[], &cands, &mut rng);
+        let chosen = choose(&SiteAwarePolicy, None, 1, &[], &cands, &mut rng);
         assert_eq!(chosen, vec![NodeId(9)]);
     }
 
@@ -461,7 +704,7 @@ mod tests {
     fn rack_aware_classic_pattern() {
         let cands = cluster(30, 3);
         let mut rng = SimRng::seed_from_u64(6);
-        let chosen = RackAwarePolicy.choose(Some(NodeId(0)), 3, &[], &cands, &mut rng);
+        let chosen = choose(&RackAwarePolicy, Some(NodeId(0)), 3, &[], &cands, &mut rng);
         assert_eq!(chosen.len(), 3);
         assert_eq!(chosen[0], NodeId(0));
         let s = sites_of(&chosen, &cands);
@@ -474,7 +717,7 @@ mod tests {
     fn rack_aware_single_site_degenerates_gracefully() {
         let cands = cluster(10, 1);
         let mut rng = SimRng::seed_from_u64(7);
-        let chosen = RackAwarePolicy.choose(Some(NodeId(2)), 3, &[], &cands, &mut rng);
+        let chosen = choose(&RackAwarePolicy, Some(NodeId(2)), 3, &[], &cands, &mut rng);
         assert_eq!(chosen.len(), 3);
         let mut c = chosen.clone();
         c.dedup();
@@ -486,7 +729,7 @@ mod tests {
         let cands = cluster(20, 4); // site 0 is the anchor
         let policy = AnchorFirstPolicy { anchor: SiteId(0) };
         let mut rng = SimRng::seed_from_u64(17);
-        let chosen = policy.choose(None, 3, &[], &cands, &mut rng);
+        let chosen = choose(&policy, None, 3, &[], &cands, &mut rng);
         assert_eq!(chosen.len(), 3);
         let sites = sites_of(&chosen, &cands);
         assert_eq!(
@@ -506,7 +749,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(18);
         // Re-replication with the anchor already holding a copy.
         let existing = vec![(NodeId(100), SiteId(0))];
-        let chosen = policy.choose(None, 2, &existing, &cands, &mut rng);
+        let chosen = choose(&policy, None, 2, &existing, &cands, &mut rng);
         assert_eq!(chosen.len(), 2);
         let sites = sites_of(&chosen, &cands);
         assert!(sites.iter().all(|&s| s != SiteId(0)));
@@ -524,7 +767,7 @@ mod tests {
             .collect();
         let policy = AnchorFirstPolicy { anchor: SiteId(0) };
         let mut rng = SimRng::seed_from_u64(19);
-        let chosen = policy.choose(None, 3, &[], &cands, &mut rng);
+        let chosen = choose(&policy, None, 3, &[], &cands, &mut rng);
         assert_eq!(chosen.len(), 3);
     }
 
@@ -534,7 +777,14 @@ mod tests {
         let mut hits = 0;
         for seed in 0..50 {
             let mut rng = SimRng::seed_from_u64(seed);
-            let chosen = RackObliviousPolicy.choose(Some(NodeId(3)), 1, &[], &cands, &mut rng);
+            let chosen = choose(
+                &RackObliviousPolicy,
+                Some(NodeId(3)),
+                1,
+                &[],
+                &cands,
+                &mut rng,
+            );
             if chosen[0] == NodeId(3) {
                 hits += 1;
             }
@@ -551,7 +801,7 @@ mod tests {
             &RackAwarePolicy,
             &RackObliviousPolicy,
         ] {
-            let chosen = policy.choose(None, 10, &[], &cands, &mut rng);
+            let chosen = choose(policy, None, 10, &[], &cands, &mut rng);
             assert_eq!(chosen.len(), 2, "{}: give what exists", policy.name());
             assert_ne!(chosen[0], chosen[1]);
         }
@@ -565,24 +815,44 @@ mod tests {
             &RackAwarePolicy,
             &RackObliviousPolicy,
         ] {
-            assert!(policy.choose(None, 3, &[], &[], &mut rng).is_empty());
+            assert!(choose(policy, None, 3, &[], &[], &mut rng).is_empty());
         }
     }
 
     #[test]
-    fn stable_first_filters_and_falls_back() {
-        let cands = cluster(12, 4); // sites 0..4, 3 nodes each
-                                    // Sites 1 and 3 stable: only their nodes survive, order kept.
-        let filtered = stable_first(cands.clone(), |s| s.0 % 2 == 1);
+    fn index_refiles_and_views_filter() {
+        let mut index = index_of(&cluster(12, 4)); // sites 0..4, 3 nodes each
+        index.refile(NodeId(5), Some((SiteId(1), 10)));
+        index.refile(NodeId(9), None);
+        assert!(index.check_invariant().is_ok());
+        assert_eq!(index.iter().count(), 11);
+        // Size filters by free space; the site front is emptiest first.
+        let view = index.view(100);
+        assert!(view.get(NodeId(5)).is_none() && view.get(NodeId(9)).is_none());
+        let front: Vec<NodeId> = index.view(0).in_site(SiteId(1)).map(|c| c.node).collect();
+        assert_eq!(front, vec![NodeId(1), NodeId(5)]);
+        // The slice view is node-ordered and honours exclusions.
+        let odd = |n: NodeId| n.0 % 2 == 1;
+        let ids: Vec<u32> = view
+            .excluding(&odd)
+            .to_vec()
+            .iter()
+            .map(|c| c.node.0)
+            .collect();
+        assert_eq!(ids, vec![0, 2, 4, 6, 8, 10]);
+    }
+
+    #[test]
+    fn prefer_sites_filters_and_falls_back() {
+        let index = index_of(&cluster(12, 4)); // sites 0..4, 3 nodes each
+                                               // Sites 1 and 3 stable: only their nodes survive.
+        let stable = |s: SiteId| s.0 % 2 == 1;
+        let filtered = index.view(0).prefer_sites(&stable).to_vec();
         assert_eq!(filtered.len(), 6);
         assert!(filtered.iter().all(|c| c.site.0 % 2 == 1));
-        let ids: Vec<u32> = filtered.iter().map(|c| c.node.0).collect();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        assert_eq!(ids, sorted, "relative order preserved");
-        // No stable site at all: full set returned unchanged.
-        let fallback = stable_first(cands.clone(), |_| false);
-        assert_eq!(fallback.len(), cands.len());
+        // No stable site at all: the full set.
+        let none = |_: SiteId| false;
+        assert_eq!(index.view(0).prefer_sites(&none).to_vec().len(), 12);
     }
 
     proptest! {
@@ -605,7 +875,7 @@ mod tests {
                 1 => &RackAwarePolicy,
                 _ => &RackObliviousPolicy,
             };
-            let chosen = policy.choose(Some(NodeId(0)), want, &[], &cands, &mut rng);
+            let chosen = choose(policy, Some(NodeId(0)), want, &[], &cands, &mut rng);
             prop_assert!(chosen.len() <= want);
             prop_assert!(chosen.len() <= cands.len());
             if want > 0 && !cands.is_empty() {
@@ -633,7 +903,7 @@ mod tests {
             let cands = cluster(n_nodes, n_sites);
             let want = want.min(n_nodes as usize);
             let mut rng = SimRng::seed_from_u64(seed);
-            let chosen = SiteAwarePolicy.choose(None, want, &[], &cands, &mut rng);
+            let chosen = choose(&SiteAwarePolicy, None, want, &[], &cands, &mut rng);
             let sites = sites_of(&chosen, &cands);
             let mut counts = vec![0usize; n_sites as usize];
             for s in sites { counts[s.0 as usize] += 1; }
@@ -643,6 +913,79 @@ mod tests {
             if max <= per_site as usize {
                 prop_assert!(max - min <= 1, "unbalanced: {counts:?}");
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The index-backed site-aware policy picks exactly what the
+        /// slice-scanning oracle picks from the same candidates — and
+        /// leaves the rng in the same state — across random sites,
+        /// unequal free space, writers, existing replicas, exclusions,
+        /// saturated streams and a stable-site restriction.
+        #[test]
+        fn prop_index_matches_slice_oracle(
+            nodes in proptest::collection::vec((0u16..7, 0u64..5, 0u8..8), 1..70),
+            size in 0u64..3,
+            (writer, n, seed) in (0usize..80, 0usize..13, 0u64..1000),
+            (existing_mask, excluded_mask, saturated_mask) in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            (stable_mask, restrict) in (0u8..128, proptest::bool::ANY),
+        ) {
+            // Node i: site, free (in coarse steps, so ties are common) and
+            // whether it is live (filed) at all.
+            let bit = |mask: u64, i: usize| mask >> (i % 64) & 1 == 1;
+            let mut index = CandidateIndex::new();
+            let mut existing: Vec<(NodeId, SiteId)> = Vec::new();
+            for (i, &(site, free, live)) in nodes.iter().enumerate() {
+                let (node, site) = (NodeId(i as u32), SiteId(site));
+                if live > 0 {
+                    index.refile(node, Some((site, free)));
+                }
+                if bit(existing_mask, i * 7) && existing.len() < 4 {
+                    existing.push((node, site));
+                }
+            }
+            // On fresh writes (every fourth case) there are no replicas.
+            if seed % 4 == 0 {
+                existing.clear();
+            }
+            prop_assert!(index.check_invariant().is_ok());
+            let excluded = |node: NodeId| {
+                let i = node.0 as usize;
+                existing.iter().any(|&(e, _)| e == node)
+                    || bit(excluded_mask, i * 5 + 1)
+                    || bit(saturated_mask, i * 3 + 2)
+            };
+            let stable = |s: SiteId| stable_mask >> s.0 & 1 == 1;
+            let mut view = index.view(size).excluding(&excluded);
+            if restrict {
+                view = view.prefer_sites(&stable);
+            }
+            // The oracle's slice: a scan of every record, ascending id.
+            let mut slice: Vec<Candidate> = nodes
+                .iter()
+                .enumerate()
+                .filter(|&(i, &(_, free, live))| {
+                    live > 0 && free >= size && !excluded(NodeId(i as u32))
+                })
+                .map(|(i, &(site, free, _))| Candidate {
+                    node: NodeId(i as u32),
+                    site: SiteId(site),
+                    free,
+                })
+                .collect();
+            if restrict && slice.iter().any(|c| stable(c.site)) {
+                slice.retain(|c| stable(c.site));
+            }
+            prop_assert_eq!(view.to_vec(), slice.clone());
+            let writer = (writer < nodes.len() + 10).then_some(NodeId(writer as u32));
+            let mut rng_index = SimRng::seed_from_u64(seed);
+            let mut rng_oracle = SimRng::seed_from_u64(seed);
+            let got = SiteAwarePolicy.choose(writer, n, &existing, &view, &mut rng_index);
+            let want = site_aware_oracle(writer, n, &existing, &slice, &mut rng_oracle);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(rng_index.next_u64(), rng_oracle.next_u64());
         }
     }
 }

@@ -33,8 +33,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 /// Cross-check: every replica in the block map is accounted on the
 /// datanode, and vice versa; used bytes match; no block exceeds its
-/// expected replication by more than the in-flight window.
+/// expected replication by more than the in-flight window; the
+/// placement index equals a fresh scan of the datanode records.
 fn check_consistency(nn: &Namenode, blocks: &[hog_hdfs::BlockId]) {
+    if let Err(e) = nn.debug_index_invariant() {
+        panic!("candidate index drifted: {e}");
+    }
     // datanode -> accounted blocks
     let mut dn_blocks: HashMap<NodeId, Vec<hog_hdfs::BlockId>> = HashMap::new();
     for (node, info) in nn.datanodes() {
@@ -79,7 +83,7 @@ proptest! {
         let cfg = HdfsConfig::hog().with_replication(4);
         let mut nn = Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(7));
         for &n in &nodes {
-            nn.register_datanode(SimTime::ZERO, n);
+            nn.register_datanode(SimTime::ZERO, n, topo.site_of(n));
         }
         let mut blocks = Vec::new();
         let mut t = 0u64;
@@ -92,7 +96,7 @@ proptest! {
                 Op::Write { size } => {
                     let f = nn.create_file_default(format!("/f{file_no}"));
                     file_no += 1;
-                    if let Some((b, targets)) = nn.allocate_block(f, size, None, &topo) {
+                    if let Some((b, targets)) = nn.allocate_block(f, size, None) {
                         nn.commit_block(b, &targets);
                         blocks.push(b);
                     }
@@ -169,21 +173,19 @@ fn allocation_respects_exclusions() {
         SimRng::seed_from_u64(5),
     );
     for &n in &nodes {
-        nn.register_datanode(SimTime::ZERO, n);
+        nn.register_datanode(SimTime::ZERO, n, topo.site_of(n));
     }
     let f = nn.create_file_default("/x");
     // Exclude three specific nodes: they must never appear as targets.
     let excluded: BTreeSet<NodeId> = nodes[..3].iter().copied().collect();
     for _ in 0..10 {
         let (b, targets) = nn
-            .allocate_block_excluding(f, 1024, None, &excluded, &topo)
+            .allocate_block_excluding(f, 1024, None, &excluded)
             .expect("three nodes remain");
         assert!(targets.iter().all(|t| !excluded.contains(t)), "{targets:?}");
         nn.commit_block(b, &targets);
     }
     // Excluding everything yields None.
     let all: BTreeSet<NodeId> = nodes.iter().copied().collect();
-    assert!(nn
-        .allocate_block_excluding(f, 1024, None, &all, &topo)
-        .is_none());
+    assert!(nn.allocate_block_excluding(f, 1024, None, &all).is_none());
 }

@@ -265,7 +265,7 @@ fn random_masters(
         SimRng::seed_from_u64(seed),
     );
     for &n in &node_ids {
-        nn.register_datanode(t0, n);
+        nn.register_datanode(t0, n, topo.site_of(n));
     }
     let mut blocks = Vec::new();
     for f in 0..files {
@@ -273,7 +273,7 @@ fn random_masters(
         let n_blocks = 1 + driver.index(3);
         for _ in 0..n_blocks {
             let size = (8 + driver.index(64) as u64) * 1024 * 1024;
-            if let Some((b, targets)) = nn.allocate_block(fid, size, None, &topo) {
+            if let Some((b, targets)) = nn.allocate_block(fid, size, None) {
                 // Commit to a random prefix of the pipeline so some
                 // blocks are healthy, some under-replicated.
                 let keep = 1 + driver.index(targets.len());
